@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateMetric, DimensionMismatch
-from .forms import KForm, LinearMap, MetricTensor, contract, pullback
+from .forms import KForm, LinearMap, MetricTensor, contract, pullback, wedge
 
 __all__ = [
     "FieldSample", "ConeGeometry", "ACGeometry", "ConicalSingularityData",
@@ -489,7 +489,6 @@ class ACGeometry:
         Om = _flat_Omega_at(x)
         iota = contract(x, Om)
         dr = KForm(6, 1, x / r[..., None])
-        from .forms import wedge
         term = wedge(dr, KForm(6, 2, (cp / 3.0)[..., None] * iota.coeffs))
         return term + KForm(6, 3, c[..., None] * Om.coeffs)
 
@@ -590,15 +589,19 @@ class SyntheticPerturbation:
     b_re: np.ndarray
     b_im: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_b", KForm(
+            6, 2, hermitian_to_omega(self.b_re).coeffs
+            + 1j * hermitian_to_omega(self.b_im).coeffs))
+
     def _pullback_b(self, x: np.ndarray) -> KForm:
+        """q^*(b) = r^-2 (b - xhat ^ iota_xhat b): dq = (1 - xhat xhat^T)/r
+        projects out the radial direction."""
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
         xhat = x / r[..., None]
-        dq = (np.eye(6) - np.einsum("...i,...j->...ij", xhat, xhat)) / r[..., None, None]
-        b = hermitian_to_omega(self.b_re).coeffs + 1j * hermitian_to_omega(self.b_im).coeffs
-        shape = x.shape[:-1]
-        bf = KForm(6, 2, np.broadcast_to(b, shape + (15,)).copy())
-        return pullback(LinearMap(dq), bf)
+        radial = wedge(KForm(6, 1, xhat), contract(xhat, self._b))
+        return KForm(6, 2, (self._b.coeffs - radial.coeffs) / r[..., None] ** 2)
 
     def primitive_A(self, x: np.ndarray) -> KForm:
         x = np.asarray(x, float)
@@ -607,7 +610,6 @@ class SyntheticPerturbation:
         return KForm(6, 2, (self.amplitude * r ** (self.nu + 3))[..., None] * qb.coeffs)
 
     def dA(self, x: np.ndarray) -> KForm:
-        from .forms import wedge
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
         qb = self._pullback_b(x)

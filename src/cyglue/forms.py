@@ -26,7 +26,7 @@ from .errors import DegenerateMetric, DimensionMismatch
 __all__ = [
     "KForm", "MetricTensor", "LinearMap",
     "wedge", "contract", "hodge_star", "form_norm", "pullback",
-    "lower_tensor_norm", "endomorphism_norm",
+    "lower_tensor_norm",
 ]
 
 
@@ -317,9 +317,3 @@ def lower_tensor_norm(g: MetricTensor, T: np.ndarray, order: int) -> np.ndarray:
         q = np.einsum(spec, T, T, *([ginv] * order), optimize=True)
     return np.sqrt(np.maximum(q, 0.0))
 
-
-def endomorphism_norm(g: MetricTensor, M: np.ndarray) -> np.ndarray:
-    """Norm of a (1,1)-tensor M^i_j: |M|^2 = g_ik M^i_j M^k_l g^{jl}."""
-    q = np.einsum("...ik,...ij,...kl,...jl->...",
-                  g.components, M, M, g.inverse())
-    return np.sqrt(np.maximum(q, 0.0))

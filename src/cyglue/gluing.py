@@ -32,9 +32,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import su3
-from .analysis import covariant_derivative, region_norms, riemann_ricci
-from .cones import (ACGeometry, ConeGeometry, calabi_ale_o3,
-                    quotient_cone_z3, t6_z3_orbifold_patch)
+from .analysis import local_step, region_norms, riemann_ricci
+from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
+                    calabi_ale_o3, quotient_cone_z3, t6_z3_orbifold_patch)
 from .errors import ConfigInvalid, NotPositive, NotStable, RateOutOfRange
 from .forms import KForm, MetricTensor, lower_tensor_norm, wedge
 
@@ -105,12 +105,12 @@ class GluingConfig:
 
     @property
     def kappa(self) -> float:
-        return min((1.0 - self.alpha) * (-3.0 - self.lam), 0.5 * self.nu)
+        return float(_exact_rates(self)[3])
 
     @property
     def gamma(self) -> float:
         """Predicted C0 neck-defect exponent."""
-        return min(-self.lam * (1.0 - self.alpha), self.alpha * self.nu)
+        return float(_exact_rates(self)[4])
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +312,12 @@ def _standard_geometry(config: GluingConfig):
 # ---------------------------------------------------------------------------
 # recovery on the neck
 
-def _sup_grid(config: GluingConfig, n_radii: int = 4, seed_shift: int = 0):
+def _sup_grid(config: GluingConfig):
     lo, hi = config.neck_bounds
-    rng = np.random.default_rng(config.seed + seed_shift)
+    rng = np.random.default_rng(config.seed)
     v = rng.standard_normal((config.n_sup_dirs, 6))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    nodes, _ = np.polynomial.legendre.leggauss(n_radii)
+    nodes, _ = np.polynomial.legendre.leggauss(4)
     r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     return (r[:, None, None] * v[None, :, :]).reshape(-1, 6)
 
@@ -445,15 +445,14 @@ class DefectScan:
         return text
 
 
-def _curvature_sup(ac: ACGeometry, t: float, n_dirs: int = 6,
-                   seed: int = 0) -> float:
+def _curvature_sup(ac: ACGeometry, t: float, seed: int = 0) -> float:
     """Sup of |Riem(g_t)| over resolved-side samples.
 
     g_t is the t-scaled AC metric read through the shared chart, so the
     samples sit at radii proportional to t and the FD steps scale along.
     """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_dirs, 6))
+    v = rng.standard_normal((6, 6))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     r_y = np.array([1.3, 1.7])
     pts = (t * r_y[:, None, None] * v[None, :, :]).reshape(-1, 6)
@@ -467,84 +466,77 @@ def _curvature_sup(ac: ACGeometry, t: float, n_dirs: int = 6,
     return float(np.max(lower_tensor_norm(g, low, 4)))
 
 
+def _central_differences(f, x) -> dict:
+    """d_i of each named array f returns, the derivative index after the
+    batch axis, by central differences with the per-sample step
+    local_step(x); f runs at one shift x +- h e_i at a time."""
+    step = local_step(x, None)
+    diffs = {}
+    for i in range(6):
+        hp = step[:, None] * np.eye(6)[i]
+        plus, minus = f(x + hp), f(x - hp)
+        for name, p in plus.items():
+            denom = (2.0 * step).reshape((-1,) + (1,) * (p.ndim - 1))
+            diffs.setdefault(name, []).append((p - minus[name]) / denom)
+    return {name: np.stack(d, axis=1) for name, d in diffs.items()}
+
+
+def _neck_fields(glued: GluedStructure, x) -> dict:
+    """Every pointwise neck defect of a scan row at the nodes x.
+
+    Omega_t and the recovery (against the cone's Kaehler form) run once
+    at x and once at each of the 12 shifts x +- local_step(x) e_i. On the
+    flat cone chart gradients are central differences of coefficients,
+    a k-form's scaled by sqrt(k!) to give the norm of its full tensor.
+    """
+    def recovered(y):
+        Om = glued.Omega_t(y).coeffs
+        out = su3._recover_batch(
+            np.broadcast_to(FLAT_OMEGA.coeffs, Om.shape[:-1] + (15,)), Om)
+        for key, error in (("stable", NotStable), ("positive", NotPositive)):
+            if not np.all(out[key]):
+                raise error(f"recovery not {key} during scan",
+                            sample_index=su3._first_bad(out[key]))
+        return Om, out
+
+    def differentiated(y):
+        Om, out = recovered(y)
+        return {"grad_omega": np.sqrt(2.0) * out["omega_prime"],
+                "grad_metric": out["g"],
+                "grad_re_Omega": np.sqrt(6.0) * np.real(Om)}
+
+    Om, out = recovered(x)
+    return {
+        "Omega_defect": KForm(6, 3, Om - FLAT_OMEGA3.coeffs),
+        "omega": KForm(6, 2, out["omega_prime"] - FLAT_OMEGA.coeffs),
+        "im_Omega": KForm(6, 3, np.imag(Om) - out["theta2_prime"]),
+        **_central_differences(differentiated, x),
+    }
+
+
 def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
               perturbation) -> DefectRow:
     glued = build_glued(config, cone, ac, perturbation)
-    bounds = config.neck_bounds
-    kw = dict(n_radial=config.n_radial, link_level=config.link_level)
-
-    def g_v(x):
-        return cone.fields_at(x).g
-
-    om_v_c = cone.fields_at(np.zeros(6)).omega.coeffs
-    Om_v_c = cone.fields_at(np.zeros(6)).Omega.coeffs
-
-    def recovered(x):
-        Om = glued.Omega_t(x)
-        out = su3._recover_batch(
-            np.broadcast_to(om_v_c, Om.coeffs.shape[:-1] + (15,)),
-            Om.coeffs)
-        if not np.all(out["stable"]):
-            raise NotStable("recovery unstable during scan",
-                            sample_index=su3._first_bad(out["stable"]))
-        if not np.all(out["positive"]):
-            raise NotPositive("recovery not positive during scan",
-                              sample_index=su3._first_bad(out["positive"]))
-        return out, Om
-
-    def Omega_defect(x):
-        return KForm(6, 3, glued.Omega_t(x).coeffs - Om_v_c)
-
-    def omega_prime_defect(x):
-        out, _ = recovered(x)
-        return KForm(6, 2, out["omega_prime"] - om_v_c)
-
-    def im_Omega_defect(x):
-        out, Om = recovered(x)
-        return KForm(6, 3, np.imag(Om.coeffs) - out["theta2_prime"])
-
-    def metric_defect(x):
-        out, _ = recovered(x)
-        return out["g"] - np.eye(6)
-
-    def re_Omega_var(x):
-        return KForm(6, 3, np.real(glued.Omega_t(x).coeffs)
-                     - np.real(Om_v_c))
-
-    def grad_omega_prime(x):
-        return covariant_derivative(omega_prime_defect, g_v, x)
-
-    def grad_metric(x):
-        return covariant_derivative(metric_defect, g_v, x)
-
-    def grad_re_Omega(x):
-        return covariant_derivative(re_Omega_var, g_v, x)
-
-    n_Om = region_norms(Omega_defect, g_v, cone, bounds, **kw)
-    n_om = region_norms(omega_prime_defect, g_v, cone, bounds, **kw)
-    n_im = region_norms(im_Omega_defect, g_v, cone, bounds, **kw)
-    n_gr = region_norms(grad_omega_prime, g_v, cone, bounds, **kw)
-    n_gm = region_norms(grad_metric, g_v, cone, bounds, **kw)
-    n_gO = region_norms(grad_re_Omega, g_v, cone, bounds, **kw)
-
+    norms = region_norms(lambda x: _neck_fields(glued, x), cone,
+                         config.neck_bounds, config.n_radial, config.link_level)
     sup_pts = _sup_grid(config)
-    hess = covariant_derivative(grad_omega_prime, g_v, sup_pts)
-    hess_c0 = float(np.max(lower_tensor_norm(g_v(sup_pts), hess, 4)))
-
+    hess = _central_differences(
+        lambda y: {"hess": _neck_fields(glued, y)["grad_omega"]}, sup_pts)
+    hess_c0 = float(np.max(np.sqrt(np.sum(hess["hess"] ** 2, axis=(1, 2, 3)))))
     return DefectRow(
         t=config.t,
-        Omega_defect_c0=n_Om.c0,
-        Omega_defect_l2=n_Om.l2,
-        omega_c0=n_om.c0,
-        omega_l2=n_om.l2,
-        im_Omega_c0=n_im.c0,
-        im_Omega_l2=n_im.l2,
-        grad_omega_c0=n_gr.c0,
-        grad_omega_l12=n_gr.l12,
-        grad_omega_t_l12=n_gm.l12,
-        grad_re_Omega_l12=n_gO.l12,
+        Omega_defect_c0=norms["Omega_defect"].c0,
+        Omega_defect_l2=norms["Omega_defect"].l2,
+        omega_c0=norms["omega"].c0,
+        omega_l2=norms["omega"].l2,
+        im_Omega_c0=norms["im_Omega"].c0,
+        im_Omega_l2=norms["im_Omega"].l2,
+        grad_omega_c0=norms["grad_omega"].c0,
+        grad_omega_l12=norms["grad_omega"].l12,
+        grad_omega_t_l12=norms["grad_metric"].l12,
+        grad_re_Omega_l12=norms["grad_re_Omega"].l12,
         hess_omega_c0=hess_c0,
-        neck_volume=n_Om.volume,
+        neck_volume=norms["Omega_defect"].volume,
         curvature_sup=_curvature_sup(ac, config.t, seed=config.seed),
     )
 
@@ -597,6 +589,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x).limit_denominator(10 ** 9)
+
+
+def _exact_rates(config: GluingConfig) -> tuple:
+    """(nu, lam, alpha, kappa, gamma) as exact fractions: kappa is the rate
+    the deformation argument needs, gamma the predicted C0 neck exponent."""
+    nu, lam = _as_fraction(config.nu), _as_fraction(config.lam)
+    alpha = _as_fraction(config.alpha)
+    kappa = min((1 - alpha) * (-3 - lam), nu / 2)
+    gamma = min(-lam * (1 - alpha), alpha * nu)
+    return nu, lam, alpha, kappa, gamma
 
 
 def _ledger_inequalities(nu: Fraction, lam: Fraction, alpha: Fraction,
@@ -688,10 +690,7 @@ def thm52_check(scan: Optional[DefectScan], config: GluingConfig,
     (3 for L2, -1/2 for L12 of a gradient, -1 and -2 for gradient and
     Hessian sups). Failures are carried in the verdict, not raised.
     """
-    nu, lam = _as_fraction(config.nu), _as_fraction(config.lam)
-    alpha = _as_fraction(config.alpha)
-    kappa = min((1 - alpha) * (-3 - lam), nu / 2)
-    gamma = min(-lam * (1 - alpha), alpha * nu)
+    nu, lam, alpha, kappa, gamma = _exact_rates(config)
     exact = _ledger_inequalities(nu, lam, alpha, kappa)
     implication = exponent_implication_check(implication_trials,
                                              seed=config.seed)

@@ -84,14 +84,6 @@ class TestFdExteriorDerivative:
         fd = an.fd_exterior_derivative(ale.correction_B, x)
         assert np.max(np.abs(fd.coeffs - ale.correction_dB(x).coeffs)) < 1e-7
 
-    def test_chart_field_wrapper(self):
-        ale = cn.calabi_ale_o3()
-        wrapped = an.ChartField(ale.correction_B, r_bounds=(1.0, np.inf))
-        x = 2.5 * unit_dirs(3, seed=6)
-        a = an.fd_exterior_derivative(wrapped, x)
-        b = an.fd_exterior_derivative(ale.correction_B, x)
-        assert np.array_equal(a.coeffs, b.coeffs)
-
 
 class TestCovariantDerivative:
     def test_metric_compatibility(self):
@@ -252,9 +244,8 @@ class TestKahlerRicci:
 class TestRegionNorms:
     def test_closed_forms_for_model_kahler_form(self):
         cone = cn.flat_c3_cone()
-        om = lambda y: cone.fields_at(y).omega
-        g = lambda y: cone.fields_at(y).g
-        rep = an.region_norms(om, g, cone, (0.5, 1.5))
+        om = lambda y: {"omega": cone.fields_at(y).omega}
+        rep = an.region_norms(om, cone, (0.5, 1.5))["omega"]
         vol = np.pi ** 3 * (1.5 ** 6 - 0.5 ** 6) / 6.0
         assert rep.c0 == pytest.approx(np.sqrt(3.0), rel=1e-12)
         assert rep.l2 == pytest.approx(np.sqrt(3.0 * vol), rel=1e-3)
@@ -266,17 +257,16 @@ class TestRegionNorms:
         patch = cn.t6_z3_orbifold_patch(0)
         pert = patch.synthetic_perturbation(nu=2.0, amplitude=0.3)
         cone = patch.cone
-        g = lambda y: cone.fields_at(y).g
-        rep = an.region_norms(pert.dA, g, cone, (0.05, 0.2))
+        dA = lambda y: {"dA": pert.dA(y)}
+        rep = an.region_norms(dA, cone, (0.05, 0.2))["dA"]
         assert rep.l2 <= rep.volume ** 0.5 * rep.c0 * (1 + 1e-9)
         assert rep.l12 <= rep.volume ** (1 / 12) * rep.c0 * (1 + 1e-9)
 
     def test_quotient_volume_is_one_third(self):
         flat, quot = cn.flat_c3_cone(), cn.quotient_cone_z3()
-        g = lambda y: flat.fields_at(y).g
-        om = lambda y: flat.fields_at(y).omega
-        a = an.region_norms(om, g, flat, (0.5, 1.0))
-        b = an.region_norms(om, g, quot, (0.5, 1.0))
+        om = lambda y: {"omega": flat.fields_at(y).omega}
+        a = an.region_norms(om, flat, (0.5, 1.0))["omega"]
+        b = an.region_norms(om, quot, (0.5, 1.0))["omega"]
         assert b.volume == pytest.approx(a.volume / 3.0, rel=1e-6)
 
     def test_radial_scaling_of_l2(self):
@@ -284,8 +274,8 @@ class TestRegionNorms:
         patch = cn.t6_z3_orbifold_patch(0)
         pert = patch.synthetic_perturbation(nu=2.0, amplitude=0.3)
         cone = patch.cone
-        g = lambda y: cone.fields_at(y).g
-        reps = [an.region_norms(pert.dA, g, cone, (a, 2 * a))
+        dA = lambda y: {"dA": pert.dA(y)}
+        reps = [an.region_norms(dA, cone, (a, 2 * a))["dA"]
                 for a in (0.02, 0.04, 0.08)]
         vals = np.array([r.l2 for r in reps])
         slope = np.polyfit(np.log([0.02, 0.04, 0.08]), np.log(vals), 1)[0]
@@ -295,25 +285,24 @@ class TestRegionNorms:
         ale = cn.calabi_ale_o3()
         cone = cn.flat_c3_cone()
         g = lambda y: cone.fields_at(y).g
-        grad = lambda y: an.covariant_derivative(ale.metric_on_target, g, y)
-        rep = an.region_norms(grad, g, cone, (2.0, 3.0), n_radial=4)
+        grad = lambda y: {
+            "grad": an.covariant_derivative(ale.metric_on_target, g, y)}
+        rep = an.region_norms(grad, cone, (2.0, 3.0), n_radial=4)["grad"]
         assert 0 < rep.c0 < 1.0
         assert 0 < rep.l2
 
     def test_bounds_validation(self):
         cone = cn.flat_c3_cone()
-        g = lambda y: cone.fields_at(y).g
-        om = lambda y: cone.fields_at(y).omega
+        om = lambda y: {"omega": cone.fields_at(y).omega}
         with pytest.raises(ConfigInvalid):
-            an.region_norms(om, g, cone, (1.0, 0.5))
+            an.region_norms(om, cone, (1.0, 0.5))
         with pytest.raises(ConfigInvalid):
-            an.region_norms(om, g, cone, (0.0, 0.5))
+            an.region_norms(om, cone, (0.0, 0.5))
 
     def test_grid_metadata(self):
         cone = cn.flat_c3_cone()
-        g = lambda y: cone.fields_at(y).g
-        om = lambda y: cone.fields_at(y).omega
-        rep = an.region_norms(om, g, cone, (0.5, 1.0), n_radial=4,
-                              link_level=(4, 4, 4))
+        om = lambda y: {"omega": cone.fields_at(y).omega}
+        rep = an.region_norms(om, cone, (0.5, 1.0), n_radial=4,
+                              link_level=(4, 4, 4))["omega"]
         assert rep.grid == {"n_radial": 4, "link_level": (4, 4, 4),
                             "r_bounds": (0.5, 1.0)}

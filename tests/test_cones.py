@@ -4,7 +4,7 @@ import pytest
 from cyglue import analysis as an
 from cyglue import cones as cn
 from cyglue.errors import ConfigInvalid, DegenerateMetric
-from cyglue.forms import LinearMap, form_norm, contract, pullback
+from cyglue.forms import KForm, LinearMap, form_norm, contract, pullback
 
 
 def unit_dirs(n, seed=0, dim=6):
@@ -357,6 +357,20 @@ class TestSyntheticPerturbation:
         x = 0.08 * self.dirs
         pulled = pullback(L, self.pert.primitive_A(x @ A.T))
         assert np.max(np.abs(pulled.coeffs - self.pert.primitive_A(x).coeffs)) < 1e-13
+
+    def test_closed_form_pullback_matches_generic(self):
+        # q^*(b) through the Jacobian dq = (1 - xhat xhat^T)/r of q(x) = x/|x|
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0.05, 2.0, (16, 1)) * unit_dirs(16, seed=21)
+        r = np.linalg.norm(x, axis=-1)
+        xhat = x / r[:, None]
+        dq = (np.eye(6) - xhat[:, :, None] * xhat[:, None, :]) / r[:, None, None]
+        b = (cn.hermitian_to_omega(self.pert.b_re).coeffs
+             + 1j * cn.hermitian_to_omega(self.pert.b_im).coeffs)
+        want = pullback(LinearMap(dq), KForm(6, 2, np.tile(b, (16, 1))))
+        got = self.pert._pullback_b(x)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) \
+            < 1e-13 * np.max(np.abs(want.coeffs))
 
     def test_seed_reproducibility(self):
         p2 = self.patch.synthetic_perturbation(nu=2.0, amplitude=0.1, seed=0)

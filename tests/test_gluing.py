@@ -280,6 +280,37 @@ class TestDefectScan:
         again = gl.defect_scan(gl.GluingConfig(t=0.1, **SMALL), SCAN_TS)
         assert again.to_csv() == small_scan.to_csv()
 
+    def test_row_evaluates_each_neck_sample_once(self, geometry,
+                                                  monkeypatch):
+        seen = {"Omega_t": [], "recover": [], "christoffel": 0}
+        omega_t, recover = gl.GluedStructure.Omega_t, gl.su3._recover_batch
+
+        def counted_omega_t(self, x):
+            seen["Omega_t"].append(np.asarray(x, float).reshape(-1, 6))
+            return omega_t(self, x)
+
+        def counted_recover(omega_c, Omega_c):
+            seen["recover"].append(np.concatenate(
+                [Omega_c.real, Omega_c.imag, omega_c], axis=-1))
+            return recover(omega_c, Omega_c)
+
+        def counted_christoffel(*args, **kwargs):
+            seen["christoffel"] += 1
+            return christoffel(*args, **kwargs)
+
+        christoffel = an.christoffel
+        monkeypatch.setattr(gl.GluedStructure, "Omega_t", counted_omega_t)
+        monkeypatch.setattr(gl.su3, "_recover_batch", counted_recover)
+        monkeypatch.setattr(an, "christoffel", counted_christoffel)
+        # the resolved-side curvature differentiates the curved AC metric,
+        # which is not a neck sample
+        monkeypatch.setattr(gl, "_curvature_sup", lambda *a, **k: 1.0)
+        gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry)
+        for name in ("Omega_t", "recover"):
+            rows = np.concatenate(seen[name])
+            assert len(np.unique(rows, axis=0)) == len(rows), name
+        assert seen["christoffel"] == 0
+
 
 def _zero_scan():
     rows = tuple(
