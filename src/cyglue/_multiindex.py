@@ -116,16 +116,24 @@ def _perm_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _tensor_gather(dim: int, k: int) -> np.ndarray:
+    """coeffs_to_tensor as a gather from [a, 0, -a]: T.flat[q] = ext[idx[q]]."""
+    n = ncomp(dim, k)
+    idx = np.full((dim,) * k, n, dtype=np.intp)
+    for p, K in enumerate(index_sets(dim, k)):
+        for perm, sign in _perm_table(k):
+            idx[tuple(K[q] for q in perm)] = p if sign > 0 else n + 1 + p
+    return idx.ravel()
+
+
 def coeffs_to_tensor(coeffs: np.ndarray, dim: int, k: int) -> np.ndarray:
     """Expand increasing-index storage to the full antisymmetric array."""
     lead = coeffs.shape[:-1]
-    T = np.zeros(lead + (dim,) * k, dtype=coeffs.dtype)
-    sets = index_sets(dim, k)
-    for p, K in enumerate(sets):
-        for perm, sign in _perm_table(k):
-            idx = tuple(K[q] for q in perm)
-            T[(...,) + idx] = sign * coeffs[..., p]
-    return T
+    ext = np.concatenate(
+        (coeffs, np.zeros(lead + (1,), coeffs.dtype), -coeffs), axis=-1)
+    return np.take(ext, _tensor_gather(dim, k), axis=-1).reshape(
+        lead + (dim,) * k)
 
 
 def tensor_to_coeffs(T: np.ndarray, dim: int, k: int,

@@ -51,11 +51,15 @@ GEOMETRIES = {
     "t6_z3_patch": ("conical", lambda: cn.t6_z3_orbifold_patch(0)),
 }
 
-_CONFIG_KEYS = {
-    "command", "geometry", "nu", "lam", "alpha", "t_list", "amplitude",
-    "steps", "n_radial", "link_level", "n_sup_dirs", "fit_slack",
-    "seed", "workers", "out",
+# declared type of each config key; lists hold elements of that type
+_CONFIG_TYPES = {
+    "command": str, "geometry": str, "nu": float, "lam": float,
+    "alpha": float, "t_list": float, "amplitude": float, "steps": int,
+    "n_radial": int, "link_level": int, "n_sup_dirs": int,
+    "fit_slack": float, "seed": int, "workers": int, "out": str,
 }
+_LIST_KEYS = ("t_list", "link_level")
+_OPTIONAL_KEYS = ("geometry", "nu", "alpha")
 
 
 @dataclass(frozen=True)
@@ -112,20 +116,6 @@ def _check(checks: list, name: str, measured, predicted, tolerance):
     ok = bool(np.isfinite(m)) and abs(m - float(predicted)) <= tolerance
     checks.append(CheckRecord(name, m, float(predicted), float(tolerance),
                               ok))
-
-
-def _guarded(checks: list, name: str, predicted, tolerance, fn):
-    """Record the check even when its computation blows up."""
-    try:
-        value = fn()
-    except ConfigInvalid:
-        raise
-    except Exception as err:  # keep the partial report writable
-        checks.append(CheckRecord(name, float("nan"), float(predicted),
-                                  float(tolerance), False))
-        print(f"check {name} raised: {err}", file=sys.stderr)
-        return
-    _check(checks, name, value, predicted, tolerance)
 
 
 def _unit_dirs(n: int, seed: int) -> np.ndarray:
@@ -278,6 +268,33 @@ def _glue_config(config: RunConfig) -> gl.GluingConfig:
         seed=config.seed)
 
 
+def glue_scan_checks(scan: gl.DefectScan, template: gl.GluingConfig,
+                     fit_slack: float):
+    """The glue-scan suite's checks on a finished scan.
+
+    Returns the check records and the Theorem 5.2 verdict they read, so
+    a report can carry the verdict's constants without recomputing it.
+    """
+    verdict = gl.thm52_check(scan, template, fit_slack=fit_slack)
+    fits = scan.fitted_exponents()
+    gamma, alpha = float(verdict.gamma), float(verdict.alpha)
+    checks = []
+    _check(checks, "c0_defect_exponent",
+           fits["Omega_defect_c0"][0], gamma, fit_slack)
+    _check(checks, "l2_defect_exponent",
+           fits["Omega_defect_l2"][0], gamma + 3 * alpha, fit_slack)
+    _check(checks, "curvature_exponent",
+           fits["curvature_sup"][0], -2.0, fit_slack)
+    _check(checks, "exact_ledger",
+           float(all(verdict.exact.values())), 1.0, 0.0)
+    _check(checks, "measured_rates_dominate_ledger",
+           float(all(m["pass"] for m in verdict.measured.values())),
+           1.0, 0.0)
+    _check(checks, "l2_implies_remaining_inequalities",
+           float(verdict.implication_pass), 1.0, 0.0)
+    return checks, verdict
+
+
 def _run_glue_scan(config: RunConfig, report: RunReport):
     template = _glue_config(config)
     scan = gl.defect_scan(template, config.t_list, workers=config.workers)
@@ -286,23 +303,9 @@ def _run_glue_scan(config: RunConfig, report: RunReport):
     csv_path = out_dir / "scan.csv"
     scan.to_csv(csv_path)
 
-    verdict = gl.thm52_check(scan, template, fit_slack=config.fit_slack)
+    checks, verdict = glue_scan_checks(scan, template, config.fit_slack)
+    report.checks.extend(checks)
     fits = scan.fitted_exponents()
-    gamma, alpha = float(verdict.gamma), float(verdict.alpha)
-    _check(report.checks, "c0_defect_exponent",
-           fits["Omega_defect_c0"][0], gamma, config.fit_slack)
-    _check(report.checks, "l2_defect_exponent",
-           fits["Omega_defect_l2"][0], gamma + 3 * alpha, config.fit_slack)
-    _check(report.checks, "curvature_exponent",
-           fits["curvature_sup"][0], -2.0, config.fit_slack)
-    _check(report.checks, "exact_ledger",
-           float(all(verdict.exact.values())), 1.0, 0.0)
-    _check(report.checks, "measured_rates_dominate_ledger",
-           float(all(m["pass"] for m in verdict.measured.values())),
-           1.0, 0.0)
-    _check(report.checks, "l2_implies_remaining_inequalities",
-           float(verdict.implication_pass), 1.0, 0.0)
-
     report.fitted.update({name: None if f is None
                           else {"slope": f[0], "max_log_residual": f[1]}
                           for name, f in fits.items()})
@@ -385,12 +388,12 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
+    unknown = set(data) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     # worker precedence: flag, then environment, then config file
     if overrides.get("workers") is None:
         env = os.environ.get("CYGLUE_WORKERS")
@@ -406,14 +409,26 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         raise ConfigInvalid("no command given (argument or config file)")
     if data["command"] not in COMMANDS:
         raise ConfigInvalid(f"unknown command {data['command']!r}")
-    if "t_list" in data:
-        data["t_list"] = tuple(float(t) for t in data["t_list"])
-    if "link_level" in data:
-        data["link_level"] = tuple(int(v) for v in data["link_level"])
-    try:
-        return RunConfig(**data)
-    except TypeError as err:
-        raise ConfigInvalid(str(err)) from None
+    for key, value in data.items():
+        if value is None and key in _OPTIONAL_KEYS:
+            continue
+        is_list = key in _LIST_KEYS
+        if is_list != isinstance(value, (list, tuple)):
+            raise ConfigInvalid(f"{key} must {'' if is_list else 'not '}"
+                                f"be a list, got {value!r}")
+        kind = _CONFIG_TYPES[key]
+        accepted = (int, float) if kind is float else kind
+        items = value if is_list else [value]
+        # bool is an int subclass, but true/false is no number here
+        if any(isinstance(v, bool) or not isinstance(v, accepted)
+               for v in items):
+            raise ConfigInvalid(
+                f"{key} must hold {kind.__name__} values, got {value!r}")
+        data[key] = tuple(map(kind, value)) if is_list else kind(value)
+    if data["workers"] < 1:
+        raise ConfigInvalid(f"workers must be at least 1, got "
+                            f"{data['workers']}")
+    return RunConfig(**data)
 
 
 def _jsonable(obj):

@@ -78,14 +78,14 @@ class GluingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.nu <= 0:
+            raise ConfigInvalid("conical rate nu must be positive")
         if self.alpha is None:
             object.__setattr__(self, "alpha", default_alpha(self.nu))
         if self.t <= 0:
             raise ConfigInvalid("t must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigInvalid("alpha must lie in (0, 1)")
-        if self.nu <= 0:
-            raise ConfigInvalid("conical rate nu must be positive")
         if self.lam >= -3.0:
             raise ConfigInvalid("AC rate lam must be below -3")
         ta = self.t ** self.alpha

@@ -69,6 +69,26 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigInvalid):
             cli.load_config(None, {"command": "thm52"})
 
+    @pytest.mark.parametrize("doc, flags, key", [
+        ({"t_list": "0.4"}, [], "t_list"),
+        ({"link_level": 4}, [], "link_level"),
+        ({"nu": "two"}, [], "nu"),
+        ({"amplitude": [0.003]}, [], "amplitude"),
+        ({"seed": True}, [], "seed"),
+        ({"workers": 0}, [], "workers"),
+        ({}, ["--nu", "-1"], "nu"),
+    ])
+    def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.delenv("CYGLUE_WORKERS", raising=False)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "thm52", **doc}))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                         *flags])
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+        assert key in capsys.readouterr().err
+
     def test_t_list_flag_parsing(self, capsys, tmp_path):
         code = cli.main(["thm52", "--t-list", "0.5,0.3,0.2,0.1",
                          "--out", str(tmp_path)])

@@ -1,8 +1,10 @@
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 import pytest
 
+from cyglue._multiindex import coeffs_to_tensor
 from cyglue.forms import (
     KForm, LinearMap, MetricTensor, contract, form_norm, hodge_star,
     lower_tensor_norm, pullback, wedge,
@@ -199,6 +201,30 @@ class TestScalingLaws:
         base = lower_tensor_norm(g, T, 3)
         gc = MetricTensor(6, 4.0 * np.eye(6))
         assert lower_tensor_norm(gc, T, 3) == pytest.approx(base / 8.0, rel=1e-13)
+
+
+class TestTensorExpansion:
+    @staticmethod
+    def _loop_reference(coeffs, dim, k):
+        T = np.zeros(coeffs.shape[:-1] + (dim,) * k, dtype=coeffs.dtype)
+        for p, K in enumerate(combinations(range(dim), k)):
+            for perm in permutations(range(k)):
+                inv = sum(perm[a] > perm[b]
+                          for a in range(k) for b in range(a + 1, k))
+                idx = tuple(K[q] for q in perm)
+                T[(...,) + idx] = (-1 if inv % 2 else 1) * coeffs[..., p]
+        return T
+
+    @pytest.mark.parametrize("dim, k", [(6, 2), (6, 3), (7, 3), (7, 4)])
+    def test_gather_matches_loop_bitwise(self, dim, k):
+        rng = np.random.default_rng(16)
+        coeffs = rng.standard_normal((5, comb(dim, k)))
+        coeffs[0] = 0.0  # signed zeros must come out as the loop's
+        got = coeffs_to_tensor(coeffs, dim, k)
+        want = self._loop_reference(coeffs, dim, k)
+        assert got.shape == want.shape == (5,) + (dim,) * k
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestValidation:
