@@ -8,7 +8,7 @@ exact rational ledger.
 
 This runs a coarse grid to stay quick; the package defaults
 (n_radial=6, link_level=(4, 4, 4), n_sup_dirs=12) sharpen the fits at
-about twenty seconds per row.
+about four seconds per row on two cores.
 """
 
 from cyglue.gluing import GluingConfig, defect_scan, thm52_check

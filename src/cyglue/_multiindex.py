@@ -136,20 +136,14 @@ def coeffs_to_tensor(coeffs: np.ndarray, dim: int, k: int) -> np.ndarray:
         lead + (dim,) * k)
 
 
-def tensor_to_coeffs(T: np.ndarray, dim: int, k: int,
-                     antisymmetrize: bool = False) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _coeff_positions(dim: int, k: int) -> np.ndarray:
+    """Flat position of each increasing multi-index in a (dim,)*k array."""
+    return np.ravel_multi_index(_subset_array(dim, k).T, (dim,) * k)
+
+
+def tensor_to_coeffs(T: np.ndarray, dim: int, k: int) -> np.ndarray:
     """Read increasing-index coefficients back off a k-index array."""
-    sets = index_sets(dim, k)
-    if not antisymmetrize:
-        cols = [T[(...,) + K] for K in sets]
-        return np.stack(cols, axis=-1)
-    cols = []
-    fact = 1.0
-    for q in range(2, k + 1):
-        fact *= q
-    for K in sets:
-        acc = 0.0
-        for perm, sign in _perm_table(k):
-            acc = acc + sign * T[(...,) + tuple(K[q] for q in perm)]
-        cols.append(acc / fact)
-    return np.stack(cols, axis=-1)
+    lead = T.shape[:T.ndim - k]
+    return np.take(T.reshape(lead + (dim ** k,)), _coeff_positions(dim, k),
+                   axis=-1)

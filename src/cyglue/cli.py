@@ -15,8 +15,10 @@ environment variable, then the config file, then 1.
 Report schema, version 1: command, config echo, seed, package version,
 wall time, one record per check carrying (name, measured, predicted,
 tolerance, pass), fitted constants, command extras, and the overall
-verdict as the conjunction of the checks. Exit status is 0 when every
-check passes, 1 when some check fails, 2 for an invalid configuration.
+verdict as the conjunction of the checks. The report is strict JSON: a
+non-finite number is written as null, and a check whose measurement is
+not finite fails. Exit status is 0 when every check passes, 1 when some
+check fails, 2 for an invalid configuration.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ _CONFIG_TYPES = {
 }
 _LIST_KEYS = ("t_list", "link_level")
 _OPTIONAL_KEYS = ("geometry", "nu", "alpha")
+# sizes, counts and scan values; every entry of a list must be positive
+_POSITIVE_KEYS = ("t_list", "steps", "n_radial", "link_level", "n_sup_dirs",
+                  "workers")
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One check; ``measured`` is None when the measurement is not finite,
+    and such a check fails."""
+
     name: str
-    measured: float
+    measured: Optional[float]
     predicted: float
     tolerance: float
     passed: bool
@@ -113,9 +121,10 @@ class RunReport:
 
 def _check(checks: list, name: str, measured, predicted, tolerance):
     m = float(measured)
-    ok = bool(np.isfinite(m)) and abs(m - float(predicted)) <= tolerance
-    checks.append(CheckRecord(name, m, float(predicted), float(tolerance),
-                              ok))
+    finite = bool(np.isfinite(m))
+    ok = finite and abs(m - float(predicted)) <= tolerance
+    checks.append(CheckRecord(name, m if finite else None, float(predicted),
+                              float(tolerance), ok))
 
 
 def _unit_dirs(n: int, seed: int) -> np.ndarray:
@@ -386,8 +395,18 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
     """Merge the JSON document with command-line overrides."""
     data = {}
     if path is not None:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as err:
+            raise ConfigInvalid(f"cannot read config file {path}: "
+                                f"{err.strerror}")
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigInvalid(f"config file {path} is not valid JSON: "
+                                f"{err}")
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"config file {path} must hold a JSON "
+                                f"object, got {type(data).__name__}")
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -425,9 +444,11 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigInvalid(
                 f"{key} must hold {kind.__name__} values, got {value!r}")
         data[key] = tuple(map(kind, value)) if is_list else kind(value)
-    if data["workers"] < 1:
-        raise ConfigInvalid(f"workers must be at least 1, got "
-                            f"{data['workers']}")
+        if key in _POSITIVE_KEYS and not all(v > 0 for v in items):
+            raise ConfigInvalid(f"{key} must be positive, got {value!r}")
+        if key == "link_level" and len(value) != 3:
+            raise ConfigInvalid(f"link_level must hold three node counts "
+                                f"(n_rho, n_ang, n_psi), got {value!r}")
     return RunConfig(**data)
 
 
@@ -443,6 +464,20 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _finite(obj):
+    """obj with every non-finite number replaced by None: strict JSON has
+    no NaN or Infinity."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def write_report(report: RunReport, out_dir: str) -> Path:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -450,7 +485,8 @@ def write_report(report: RunReport, out_dir: str) -> Path:
     payload["overall_pass"] = report.overall_pass
     target = path / "report.json"
     with open(target, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonable)
+        json.dump(_finite(payload), fh, indent=2, default=_jsonable,
+                  allow_nan=False)
         fh.write("\n")
     return target
 
@@ -488,9 +524,14 @@ def main(argv=None) -> int:
     overrides = {k: getattr(args, k) for k in (
         "command", "out", "workers", "seed", "geometry", "nu", "lam",
         "alpha", "amplitude", "steps", "fit_slack")}
-    if args.t_list is not None:
-        overrides["t_list"] = [float(v) for v in args.t_list.split(",")]
     try:
+        if args.t_list is not None:
+            try:
+                overrides["t_list"] = [float(v)
+                                       for v in args.t_list.split(",")]
+            except ValueError:
+                raise ConfigInvalid(f"t_list must be comma-separated "
+                                    f"numbers, got {args.t_list!r}")
         config = load_config(args.config, overrides)
         if config.command == "list-geometries":
             text = json.dumps(list_geometries(), indent=2,
@@ -508,7 +549,9 @@ def main(argv=None) -> int:
     target = write_report(report, config.out)
     for c in report.checks:
         verdict = "pass" if c.passed else "FAIL"
-        print(f"{verdict}  {c.name}: measured {c.measured:.6g} "
+        measured = ("not finite" if c.measured is None
+                    else f"{c.measured:.6g}")
+        print(f"{verdict}  {c.name}: measured {measured} "
               f"(predicted {c.predicted:.6g}, tolerance {c.tolerance:g})")
     print(f"report: {target}")
     print("overall:", "PASS" if report.overall_pass else "FAIL")

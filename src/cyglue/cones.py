@@ -50,6 +50,33 @@ _seed_flat_constants()
 FLAT_OMEGA = KForm(6, 2, _OM0.copy())
 FLAT_OMEGA3 = KForm(6, 3, _RE0 + 1j * _IM0)
 
+
+def _frame_tables(form: KForm) -> tuple:
+    """Constant tables of a form over the standard frame e_i:
+    (e_i ^ form, iota_{e_i} form, e_i ^ iota_{e_j} form), the last with
+    (i, j) flattened, so that for a vector n
+
+        n ^ form = n @ wedged,  iota_n form = n @ iota,
+        n ^ iota_n form = (n n^T).ravel() @ radial.
+    """
+    E = np.eye(6)
+    iota = contract(E, form).coeffs
+    wedged = wedge(KForm(6, 1, E), form).coeffs
+    radial = wedge(KForm(6, 1, E[:, None, :]),
+                   KForm(6, form.degree - 1, iota[None, :, :])).coeffs
+    for table in (iota, wedged, radial):
+        table.setflags(write=False)
+    return wedged, iota, radial.reshape(36, -1)
+
+
+def _radial_wedge(xhat: np.ndarray, radial: np.ndarray) -> np.ndarray:
+    """xhat ^ iota_xhat of a form, from its e_i ^ iota_{e_j} table."""
+    outer = xhat[..., :, None] * xhat[..., None, :]
+    return outer.reshape(xhat.shape[:-1] + (36,)) @ radial
+
+
+_, _IOTA_OMEGA3, _RADIAL_OMEGA3 = _frame_tables(FLAT_OMEGA3)
+
 J_STANDARD = np.zeros((6, 6))
 for _k in range(3):
     J_STANDARD[2 * _k + 1, 2 * _k] = 1.0
@@ -103,10 +130,10 @@ def _broadcast_flat(x: np.ndarray) -> FieldSample:
     if x.shape[-1] != 6:
         raise DimensionMismatch("cone samples must have 6 ambient coordinates")
     shape = x.shape[:-1]
-    g = MetricTensor(6, np.broadcast_to(np.eye(6), shape + (6, 6)).copy(), _checked=True)
-    om = KForm(6, 2, np.broadcast_to(_OM0, shape + (15,)).copy())
-    Om = KForm(6, 3, np.broadcast_to(_RE0 + 1j * _IM0, shape + (20,)).copy())
-    J = LinearMap(np.broadcast_to(J_STANDARD, shape + (6, 6)).copy())
+    g = MetricTensor(6, np.broadcast_to(np.eye(6), shape + (6, 6)), _checked=True)
+    om = KForm(6, 2, np.broadcast_to(_OM0, shape + (15,)))
+    Om = KForm(6, 3, np.broadcast_to(FLAT_OMEGA3.coeffs, shape + (20,)))
+    J = LinearMap(np.broadcast_to(J_STANDARD, shape + (6, 6)))
     return FieldSample(g, om, Om, J)
 
 
@@ -427,8 +454,8 @@ class ACGeometry:
         g = hermitian_to_metric(H)
         om = hermitian_to_omega(H)
         shape = np.asarray(x, float).shape[:-1]
-        Om = KForm(6, 3, np.broadcast_to(_RE0 + 1j * _IM0, shape + (20,)).copy())
-        return FieldSample(g, om, Om, LinearMap(np.broadcast_to(J_STANDARD, shape + (6, 6)).copy()))
+        Om = KForm(6, 3, np.broadcast_to(FLAT_OMEGA3.coeffs, shape + (20,)))
+        return FieldSample(g, om, Om, LinearMap(np.broadcast_to(J_STANDARD, shape + (6, 6))))
 
     # -- charts ----------------------------------------------------------
     def darboux_radius(self, r):
@@ -470,27 +497,30 @@ class ACGeometry:
 
     # -- closed-form correction data -------------------------------------
     def correction_B(self, x: np.ndarray) -> KForm:
-        """Exact 2-form B with dB = Upsilon_D^* Omega_Y - Omega_V."""
+        """Exact 2-form B = c(r) iota_X Omega_V / 3 with dB = Upsilon_D^*
+        Omega_Y - Omega_V."""
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
-        c = self._profile_c(r)
-        iota = contract(x, _flat_Omega_at(x))
-        return KForm(6, 2, (c / 3.0)[..., None] * iota.coeffs)
+        return KForm(6, 2, (self._profile_c(r) / 3.0)[..., None]
+                     * (x @ _IOTA_OMEGA3))
 
     def correction_dB(self, x: np.ndarray) -> KForm:
-        """d(correction_B), exact: c'(r) dr ^ (iota_X Omega)/3 + c(r) Omega."""
-        from . import _multiindex as mi
+        """d(correction_B), exact: c(r) Omega + c'(r) r dr ^ iota_dr Omega / 3."""
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
         a6 = self.resolution_scale ** 6
         c = self._profile_c(r)
-        s = np.sqrt(1.0 - a6 / r ** 6)
-        cp = 3.0 * a6 / (r ** 7 * s)
-        Om = _flat_Omega_at(x)
-        iota = contract(x, Om)
-        dr = KForm(6, 1, x / r[..., None])
-        term = wedge(dr, KForm(6, 2, (cp / 3.0)[..., None] * iota.coeffs))
-        return term + KForm(6, 3, c[..., None] * Om.coeffs)
+        cp = 3.0 * a6 / (r ** 7 * np.sqrt(1.0 - a6 / r ** 6))
+        radial = _radial_wedge(x / r[..., None], _RADIAL_OMEGA3)
+        return KForm(6, 3, c[..., None] * FLAT_OMEGA3.coeffs
+                     + (cp * r / 3.0)[..., None] * radial)
+
+    def dr_wedge_B(self, x: np.ndarray) -> KForm:
+        """dr ^ correction_B = c(r) r dr ^ iota_dr Omega / 3."""
+        x = np.asarray(x, float)
+        r = np.linalg.norm(x, axis=-1)
+        radial = _radial_wedge(x / r[..., None], _RADIAL_OMEGA3)
+        return KForm(6, 3, (self._profile_c(r) * r / 3.0)[..., None] * radial)
 
     def _profile_c(self, r):
         a6 = self.resolution_scale ** 6
@@ -504,11 +534,6 @@ class ACGeometry:
             "resolution_scale": self.resolution_scale,
             "cone": self.modelled_cone.descriptor(),
         }
-
-
-def _flat_Omega_at(x: np.ndarray) -> KForm:
-    shape = np.asarray(x, float).shape[:-1]
-    return KForm(6, 3, np.broadcast_to(_RE0 + 1j * _IM0, shape + (20,)).copy())
 
 
 def calabi_ale_o3(resolution_scale: float = 1.0,
@@ -590,18 +615,20 @@ class SyntheticPerturbation:
     b_im: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_b", KForm(
-            6, 2, hermitian_to_omega(self.b_re).coeffs
-            + 1j * hermitian_to_omega(self.b_im).coeffs))
+        b = KForm(6, 2, hermitian_to_omega(self.b_re).coeffs
+                  + 1j * hermitian_to_omega(self.b_im).coeffs)
+        wedged, _, radial = _frame_tables(b)
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_wedge_b", wedged)
+        object.__setattr__(self, "_radial_b", radial)
 
     def _pullback_b(self, x: np.ndarray) -> KForm:
         """q^*(b) = r^-2 (b - xhat ^ iota_xhat b): dq = (1 - xhat xhat^T)/r
         projects out the radial direction."""
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
-        xhat = x / r[..., None]
-        radial = wedge(KForm(6, 1, xhat), contract(xhat, self._b))
-        return KForm(6, 2, (self._b.coeffs - radial.coeffs) / r[..., None] ** 2)
+        radial = _radial_wedge(x / r[..., None], self._radial_b)
+        return KForm(6, 2, (self._b.coeffs - radial) / r[..., None] ** 2)
 
     def primitive_A(self, x: np.ndarray) -> KForm:
         x = np.asarray(x, float)
@@ -610,12 +637,19 @@ class SyntheticPerturbation:
         return KForm(6, 2, (self.amplitude * r ** (self.nu + 3))[..., None] * qb.coeffs)
 
     def dA(self, x: np.ndarray) -> KForm:
+        """amplitude (nu+3) r^(nu+2) dr ^ q^*b = amplitude (nu+3) r^nu
+        xhat ^ b, since dr ^ q^*b = xhat ^ b / r^2."""
+        return self._dr_wedge_b(x, self.amplitude * (self.nu + 3.0), self.nu)
+
+    def dr_wedge_A(self, x: np.ndarray) -> KForm:
+        """dr ^ primitive_A = amplitude r^(nu+1) xhat ^ b."""
+        return self._dr_wedge_b(x, self.amplitude, self.nu + 1.0)
+
+    def _dr_wedge_b(self, x, factor, power) -> KForm:
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
-        qb = self._pullback_b(x)
-        dr = KForm(6, 1, x / r[..., None])
-        fac = self.amplitude * (self.nu + 3.0) * r ** (self.nu + 2)
-        return wedge(dr, KForm(6, 2, fac[..., None] * qb.coeffs))
+        xhat_b = (x / r[..., None]) @ self._wedge_b
+        return KForm(6, 3, (factor * r ** power)[..., None] * xhat_b)
 
 
 @dataclass(frozen=True)

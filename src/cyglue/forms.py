@@ -107,10 +107,8 @@ class KForm:
         return mi.coeffs_to_tensor(self.coeffs, self.dim, self.degree)
 
     @staticmethod
-    def from_tensor(dim, degree, T, antisymmetrize=False):
-        return KForm(dim, degree,
-                     mi.tensor_to_coeffs(np.asarray(T), dim, degree,
-                                         antisymmetrize=antisymmetrize))
+    def from_tensor(dim, degree, T):
+        return KForm(dim, degree, mi.tensor_to_coeffs(np.asarray(T), dim, degree))
 
     # -- arithmetic --------------------------------------------------------
     def _check_mate(self, other):

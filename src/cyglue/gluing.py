@@ -36,7 +36,7 @@ from .analysis import local_step, region_norms, riemann_ricci
 from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
                     calabi_ale_o3, quotient_cone_z3, t6_z3_orbifold_patch)
 from .errors import ConfigInvalid, NotPositive, NotStable, RateOutOfRange
-from .forms import KForm, MetricTensor, lower_tensor_norm, wedge
+from .forms import KForm, MetricTensor, lower_tensor_norm
 
 __all__ = [
     "GluingConfig", "CorrectionForms", "GluedStructure", "NeckReport",
@@ -157,13 +157,16 @@ class CorrectionForms:
 
     A lives on the conical side (rate nu, vanishing toward the tip), B on
     the AC side (rate lam, decaying outward); dA and dB are their exact
-    differentials. Unpacking yields (A, B).
+    differentials, dr_A and dr_B their wedges dr ^ A and dr ^ B with the
+    radial 1-form, which make the seam term. Unpacking yields (A, B).
     """
 
     A: Callable
     dA: Callable
     B: Callable
     dB: Callable
+    dr_A: Callable
+    dr_B: Callable
 
     def __iter__(self):
         return iter((self.A, self.B))
@@ -193,12 +196,14 @@ def correction_forms(config: GluingConfig, cone: ConeGeometry,
     if ac.modelled_cone.descriptor() != cone.descriptor():
         raise ConfigInvalid("AC space is modelled on a different cone")
     if perturbation is None:
-        A, dA = _zero_two_form, _zero_three_form
+        A, dA, dr_A = _zero_two_form, _zero_three_form, _zero_three_form
     else:
         if perturbation.nu != config.nu:
             raise ConfigInvalid("perturbation rate disagrees with config")
         A, dA = perturbation.primitive_A, perturbation.dA
-    return CorrectionForms(A=A, dA=dA, B=ac.correction_B, dB=ac.correction_dB)
+        dr_A = perturbation.dr_wedge_A
+    return CorrectionForms(A=A, dA=dA, B=ac.correction_B, dB=ac.correction_dB,
+                           dr_A=dr_A, dr_B=ac.dr_wedge_B)
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +251,24 @@ class GluedStructure:
         Fp = cutoff_F_prime(s)
         cf = self.corrections
         y = x / t
-        base = self.cone.fields_at(x).Omega.coeffs
-        out = (base
+        out = (FLAT_OMEGA3.coeffs
                + F[..., None] * cf.dA(x).coeffs
                + (1.0 - F)[..., None] * cf.dB(y).coeffs)
-        hits = Fp != 0.0
-        if np.any(hits):
-            seam = wedge(KForm(6, 1, x / r[..., None]),
-                         cf.A(x) - cf.B(y) * t)
-            out = out + (Fp * t ** (-alpha))[..., None] * seam.coeffs
+        if np.any(Fp != 0.0):
+            # dr ^ (A - B_t), B_t(x) = t B(x/t); dr is the same at x and y
+            seam = cf.dr_A(x).coeffs - t * cf.dr_B(y).coeffs
+            out = out + (Fp * t ** (-alpha))[..., None] * seam
         return KForm(6, 3, out)
 
     def Omega_q(self, x) -> KForm:
         """Pure cone-side branch Omega_V + dA."""
         x, _ = self._radii(x)
-        return KForm(6, 3, self.cone.fields_at(x).Omega.coeffs
-                     + self.corrections.dA(x).coeffs)
+        return KForm(6, 3, FLAT_OMEGA3.coeffs + self.corrections.dA(x).coeffs)
 
     def Omega_p(self, x) -> KForm:
         """Pure resolved-side branch Omega_V + dB_t."""
         x, _ = self._radii(x)
-        return KForm(6, 3, self.cone.fields_at(x).Omega.coeffs
+        return KForm(6, 3, FLAT_OMEGA3.coeffs
                      + self.corrections.dB(x / self.config.t).coeffs)
 
     def omega_t(self, x) -> KForm:

@@ -16,6 +16,7 @@ metric simultaneously.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,19 +107,30 @@ def stable_invariant(theta1: KForm) -> np.ndarray:
     return np.einsum("...ij,...ji->...", K, K) / 6.0
 
 
+@lru_cache(maxsize=None)
+def _cyclic_positions() -> tuple:
+    """Flat positions in a (6, 6, 6) array of (a, b, c), (c, a, b) and
+    (b, c, a), for each increasing (a, b, c) in storage order."""
+    abc = mi.index_sets(6, 3)
+    return tuple(
+        np.array([36 * I[p] + 6 * I[q] + I[s] for I in abc], dtype=np.intp)
+        for p, q, s in ((0, 1, 2), (2, 0, 1), (1, 2, 0)))
+
+
 def _theta2_tensor(J: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     T = mi.coeffs_to_tensor(coeffs, 6, 3)
     lead = T.shape[:-3]
-    U = (np.swapaxes(J, -1, -2) @ T.reshape(lead + (6, 36))).reshape(T.shape)
+    U = (np.swapaxes(J, -1, -2) @ T.reshape(lead + (6, 36))).reshape(
+        lead + (216,))
     # U inherits antisymmetry in its last two slots, so alternation
-    # reduces to the cyclic average
-    U = (U + np.moveaxis(U, [-3, -2, -1], [-1, -3, -2])
-         + np.moveaxis(U, [-3, -2, -1], [-2, -1, -3])) / 3.0
-    return -mi.tensor_to_coeffs(U, 6, 3)
+    # reduces to the cyclic average, needed at increasing indices only
+    abc, cab, bca = _cyclic_positions()
+    return -((U[..., abc] + U[..., cab] + U[..., bca]) / 3.0)
 
 
 def _acs_batch(coeffs: np.ndarray):
-    """(J, lam, stable_mask) without raising; J is garbage where unstable."""
+    """(J, lam, stable_mask, theta2_prime) without raising; J and
+    theta2_prime are garbage where unstable."""
     K = _k_endomorphism(coeffs)
     lam = np.einsum("...ij,...ji->...", K, K) / 6.0
     scale = np.einsum("...i,...i->...", coeffs, coeffs)  # |theta|^2, flat frame
@@ -130,8 +142,8 @@ def _acs_batch(coeffs: np.ndarray):
     W = mi.wedge_tensor(6, 3, 3)[..., 0]
     top = np.einsum("...j,...j->...", coeffs @ W, t2)
     flip = np.where(top < 0, -1.0, 1.0)
-    J = J * flip[..., None, None]
-    return J, lam, stable
+    # theta2_prime is linear in J, so flipping it is exact
+    return J * flip[..., None, None], lam, stable, t2 * flip[..., None]
 
 
 def acs_from_theta1(theta1: KForm) -> LinearMap:
@@ -140,7 +152,7 @@ def acs_from_theta1(theta1: KForm) -> LinearMap:
     Raises NotStable when the quartic invariant fails to be negative.
     """
     _check_theta(theta1)
-    J, lam, stable = _acs_batch(theta1.coeffs)
+    J, lam, stable, _ = _acs_batch(theta1.coeffs)
     if not np.all(stable):
         bad = np.argwhere(~np.atleast_1d(stable))
         raise NotStable(
@@ -172,10 +184,6 @@ def _metric_from(omega_p: np.ndarray, J: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-_WEDGE33_TOP = None
-_WEDGE24_TOP = None
-
-
 def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     """Vectorized recovery pipeline on raw coefficient arrays.
 
@@ -183,13 +191,13 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     than raised errors so grid evaluations can report the offending sample.
     """
     theta1 = np.real(Omega_c)
-    theta2 = np.imag(Omega_c)
-    J, lam, stable = _acs_batch(theta1)
-    t2p = _theta2_tensor(J, theta1)
+    J, lam, stable, t2p = _acs_batch(theta1)
 
     W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
-    C2 = mi.compound_matrix(J, 2)
-    om11 = 0.5 * (omega_c + (omega_c[..., None, :] @ C2)[..., 0, :])
+    # omega(J., J.) has the tensor J^T W J of omega's tensor W
+    W = mi.coeffs_to_tensor(omega_c, 6, 2)
+    om11 = 0.5 * (omega_c + mi.tensor_to_coeffs(
+        np.swapaxes(J, -1, -2) @ W @ J, 6, 2))
 
     W22 = mi.wedge_tensor(6, 2, 2)
     W24 = mi.wedge_tensor(6, 2, 4)[..., 0]

@@ -52,11 +52,13 @@ def _verdict(num, label, ok, elapsed, budget, detail):
 def _suite_verdict(num, label, checks, elapsed, budget):
     """Criterion verdict from the check records of a CLI suite."""
     detail = ", ".join(
-        f"{c.name} {c.measured:.4g}"
+        f"{c.name} "
+        + ("not finite" if c.measured is None else f"{c.measured:.4g}")
         + (f" (want {c.predicted:.4g})" if c.predicted else "")
         for c in checks)
     # the criteria hold each measured deviation strictly below its
-    # tolerance, where the suite's own check allows equality
+    # tolerance, where the suite's own check allows equality; a check
+    # without a finite measurement has not passed
     ok = all(c.passed and (c.tolerance == 0.0
                            or abs(c.measured - c.predicted) < c.tolerance)
              for c in checks)

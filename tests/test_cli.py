@@ -69,6 +69,8 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigInvalid):
             cli.load_config(None, {"command": "thm52"})
 
+    # doc: the config's keys beside "command": "thm52", or the file's
+    # whole text when a string, or no file at all when None
     @pytest.mark.parametrize("doc, flags, key", [
         ({"t_list": "0.4"}, [], "t_list"),
         ({"link_level": 4}, [], "link_level"),
@@ -77,12 +79,28 @@ class TestConfigPlumbing:
         ({"seed": True}, [], "seed"),
         ({"workers": 0}, [], "workers"),
         ({}, ["--nu", "-1"], "nu"),
+        pytest.param('{"command": "thm52",', [], "not valid JSON",
+                     id="invalid-json"),
+        pytest.param(None, [], "cannot read config file", id="no-file"),
+        pytest.param("[1]", [], "must hold a JSON object",
+                     id="not-an-object"),
+        ({}, ["--t-list", "0.4,abc"], "t_list"),
+        ({"command": "glue-scan", "n_radial": 0}, [], "n_radial"),
+        ({"n_sup_dirs": 0}, [], "n_sup_dirs"),
+        ({"link_level": [4, 0, 4]}, [], "link_level"),
+        ({"link_level": [4, 4, 4, 4]}, [], "link_level"),
+        ({"link_level": [4, 4]}, [], "link_level"),
+        ({"t_list": [0.4, 0.2, 0.0, 0.1]}, [], "t_list"),
+        ({"steps": -8}, [], "steps"),
     ])
     def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys,
                                   monkeypatch):
         monkeypatch.delenv("CYGLUE_WORKERS", raising=False)
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"command": "thm52", **doc}))
+        if isinstance(doc, dict):
+            cfg.write_text(json.dumps({"command": "thm52", **doc}))
+        elif doc is not None:
+            cfg.write_text(doc)
         code = cli.main(["--config", str(cfg), "--out", str(tmp_path),
                          *flags])
         assert code == 2
@@ -224,6 +242,24 @@ class TestReportShape:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["seed"] == 77
         assert report["config"]["seed"] == 77
+
+    def test_non_finite_values_make_strict_json(self, tmp_path, capsys):
+        report = cli.RunReport(command="thm52", config={}, seed=0)
+        cli._check(report.checks, "finite", 1.0, 1.0, 0.0)
+        cli._check(report.checks, "nan", float("nan"), 0.0, 1.0)
+        cli._check(report.checks, "inf", np.inf, 0.0, 1.0)
+        report.fitted["slopes"] = np.array([1.5, np.nan])
+        assert [c.measured for c in report.checks] == [1.0, None, None]
+        target = cli.write_report(report, str(tmp_path))
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(target.read_text(), parse_constant=refuse)
+        assert [(c["measured"], c["passed"]) for c in payload["checks"]] \
+            == [(1.0, True), (None, False), (None, False)]
+        assert payload["fitted"]["slopes"] == [1.5, None]
+        assert not payload["overall_pass"]
 
     def test_check_record_fields(self, tmp_path):
         cli.main(["pointwise", "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import pytest
 from cyglue import analysis as an
 from cyglue import cones as cn
 from cyglue.errors import ConfigInvalid, DegenerateMetric
-from cyglue.forms import KForm, LinearMap, form_norm, contract, pullback
+from cyglue.forms import KForm, LinearMap, form_norm, contract, pullback, wedge
 
 
 def unit_dirs(n, seed=0, dim=6):
@@ -216,6 +216,26 @@ class TestCalabiALE:
             got = self.ale.correction_dB(x)
             assert np.max(np.abs(got.coeffs - defect.coeffs)) < 1e-13
 
+    def test_closed_forms_match_generic_kernels(self):
+        # B = c iota_x Omega_V / 3 and dB = dr ^ c' iota_x Omega_V / 3
+        # + c Omega_V with c(r) = sqrt(1 - r^-6) - 1, generic kernels
+        rng = np.random.default_rng(8)
+        x = rng.uniform(1.05, 6.0, (24, 1)) * unit_dirs(24, seed=8)
+        r = np.linalg.norm(x, axis=-1)
+        c = np.sqrt(1.0 - r ** -6) - 1.0
+        cp = 3.0 / (r ** 7 * np.sqrt(1.0 - r ** -6))
+        Om = KForm(6, 3, np.tile(cn.FLAT_OMEGA3.coeffs, (24, 1)))
+        dr = KForm(6, 1, x / r[:, None])
+        iota = contract(x, Om)
+        B = iota * (c / 3.0)
+        want = {"correction_B": B,
+                "correction_dB": wedge(dr, iota * (cp / 3.0)) + Om * c,
+                "dr_wedge_B": wedge(dr, B)}
+        for name, form in want.items():
+            got = getattr(self.ale, name)(x)
+            assert np.max(np.abs(got.coeffs - form.coeffs)) \
+                <= 1e-13 * np.max(np.abs(form.coeffs)), name
+
     def test_correction_db_is_derivative_of_b(self):
         x = 2.5 * self.dirs
         fd = an.fd_exterior_derivative(self.ale.correction_B, x)
@@ -359,7 +379,9 @@ class TestSyntheticPerturbation:
         assert np.max(np.abs(pulled.coeffs - self.pert.primitive_A(x).coeffs)) < 1e-13
 
     def test_closed_form_pullback_matches_generic(self):
-        # q^*(b) through the Jacobian dq = (1 - xhat xhat^T)/r of q(x) = x/|x|
+        # q^*(b) through the Jacobian dq = (1 - xhat xhat^T)/r of q(x) = x/|x|,
+        # and A = amplitude r^(nu+3) q^*(b), dA and dr ^ A built from it
+        # with the generic kernels
         rng = np.random.default_rng(21)
         x = rng.uniform(0.05, 2.0, (16, 1)) * unit_dirs(16, seed=21)
         r = np.linalg.norm(x, axis=-1)
@@ -367,10 +389,17 @@ class TestSyntheticPerturbation:
         dq = (np.eye(6) - xhat[:, :, None] * xhat[:, None, :]) / r[:, None, None]
         b = (cn.hermitian_to_omega(self.pert.b_re).coeffs
              + 1j * cn.hermitian_to_omega(self.pert.b_im).coeffs)
-        want = pullback(LinearMap(dq), KForm(6, 2, np.tile(b, (16, 1))))
-        got = self.pert._pullback_b(x)
-        assert np.max(np.abs(got.coeffs - want.coeffs)) \
-            < 1e-13 * np.max(np.abs(want.coeffs))
+        qb = pullback(LinearMap(dq), KForm(6, 2, np.tile(b, (16, 1))))
+        nu, amp = self.pert.nu, self.pert.amplitude
+        dr = KForm(6, 1, xhat)
+        A = qb * (amp * r ** (nu + 3))
+        want = {"_pullback_b": qb, "primitive_A": A,
+                "dA": wedge(dr, qb * (amp * (nu + 3) * r ** (nu + 2))),
+                "dr_wedge_A": wedge(dr, A)}
+        for name, form in want.items():
+            got = getattr(self.pert, name)(x)
+            assert np.max(np.abs(got.coeffs - form.coeffs)) \
+                < 1e-13 * np.max(np.abs(form.coeffs)), name
 
     def test_seed_reproducibility(self):
         p2 = self.patch.synthetic_perturbation(nu=2.0, amplitude=0.1, seed=0)

@@ -1,14 +1,17 @@
+import collections
 import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cyglue import _multiindex as mi
 from cyglue import analysis as an
 from cyglue import cones as cn
+from cyglue import forms
 from cyglue import gluing as gl
 from cyglue.errors import ConfigInvalid, RateOutOfRange
-from cyglue.forms import form_norm
+from cyglue.forms import KForm, form_norm, wedge
 
 
 def unit_dirs(n, seed=0):
@@ -181,6 +184,64 @@ class TestGluedStructure:
                  + F[..., None] * cf.dA(mid).coeffs
                  + (1 - F)[..., None] * cf.dB(mid / t).coeffs)
         assert np.any(glued.Omega_t(mid).coeffs != plain)
+
+    def _across_chart(self, glued, seed):
+        """Samples on the resolved side, across the neck and on the cone
+        side, with the neck's transition region well covered."""
+        lo, hi = glued.config.neck_bounds
+        rng = np.random.default_rng(seed)
+        radii = np.concatenate([rng.uniform(0.11, lo, 8),
+                                rng.uniform(lo, hi, 16),
+                                rng.uniform(hi, 0.9, 8)])
+        return radii[:, None] * unit_dirs(32, seed=seed)
+
+    def test_closed_form_assembly_matches_generic(self, glued):
+        # Omega_V + F dA + (1 - F) dB(x/t) + F' t^-alpha dr ^ (A - t B(x/t)),
+        # the seam wedged by the generic kernel
+        x = self._across_chart(glued, 12)
+        r = np.linalg.norm(x, axis=-1)
+        t, alpha = glued.config.t, glued.config.alpha
+        s = r * t ** (-alpha)
+        F, Fp = gl.cutoff_F(s), gl.cutoff_F_prime(s)
+        cf = glued.corrections
+        y = x / t
+        seam = (Fp * t ** (-alpha))[:, None] * wedge(
+            KForm(6, 1, x / r[:, None]), cf.A(x) - cf.B(y) * t).coeffs
+        want = (glued.cone.fields_at(x).Omega.coeffs
+                + F[:, None] * cf.dA(x).coeffs
+                + (1 - F)[:, None] * cf.dB(y).coeffs + seam)
+        got = glued.Omega_t(x).coeffs
+        assert np.sum(Fp != 0.0) >= 8
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got_seam = (Fp * t ** (-alpha))[:, None] * (
+            cf.dr_A(x).coeffs - t * cf.dr_B(y).coeffs)
+        assert np.max(np.abs(got_seam - seam)) \
+            <= 1e-13 * np.max(np.abs(seam))
+
+    def test_closed_form_pass_makes_no_generic_kernel_call(self, glued,
+                                                           monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (forms, mi, cn, gl, gl.su3):
+            for name in ("wedge", "contract", "pullback", "compound_matrix"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        monkeypatch.setattr(cn.ConeGeometry, "fields_at",
+                            counted("fields_at", cn.ConeGeometry.fields_at))
+        monkeypatch.setattr(gl.su3, "_theta2_tensor",
+                            counted("_theta2_tensor", gl.su3._theta2_tensor))
+        Om = glued.Omega_t(self._across_chart(glued, 13)).coeffs
+        assert not calls
+        gl.su3._recover_batch(
+            np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
+        assert calls == {"_theta2_tensor": 1}
 
     def test_kaehler_form_equals_cone_form_off_the_resolved_side(self, glued):
         x = 0.5 * unit_dirs(3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyglue import su3
 from cyglue.errors import NotPositive, NotStable
 from cyglue.forms import KForm, LinearMap, pullback, wedge
 from cyglue.su3 import (
@@ -209,6 +210,38 @@ class TestRecovery:
                               KForm(6, 3, c ** 3 * OMEGA0.coeffs))
         assert rep2.defect_omega20 == pytest.approx(rep1.defect_omega20, rel=1e-12)
         assert rep2.defect_normalization == pytest.approx(rep1.defect_normalization, rel=1e-12)
+
+
+class TestRecoveryKernels:
+    """The batched recovery against the public single-purpose functions."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        self.theta = RE0.coeffs + 0.3 * rng.standard_normal((32, 20))
+        self.omega = OM0.coeffs + 0.3 * rng.standard_normal((32, 15))
+
+    def test_oriented_companion_is_recomputed_bitwise(self):
+        J, _, stable, t2 = su3._acs_batch(self.theta)
+        assert np.any(stable)
+        assert np.array_equal(t2, su3._theta2_tensor(J, self.theta))
+
+    def test_companion_gather_matches_full_alternation(self):
+        # the whole alternated (6, 6, 6) array, read off at increasing
+        # indices, as _theta2_tensor computed it before reading only those
+        rng = np.random.default_rng(32)
+        J = rng.standard_normal((32, 6, 6))
+        T = KForm(6, 3, self.theta).as_tensor()
+        U = (np.swapaxes(J, -1, -2) @ T.reshape(32, 6, 36)).reshape(T.shape)
+        U = (U + np.moveaxis(U, [-3, -2, -1], [-1, -3, -2])
+             + np.moveaxis(U, [-3, -2, -1], [-2, -1, -3])) / 3.0
+        want = -KForm.from_tensor(6, 3, U).coeffs
+        assert np.array_equal(su3._theta2_tensor(J, self.theta), want)
+
+    def test_congruence_matches_omega_11(self):
+        out = su3._recover_batch(self.omega, self.theta + 0j)
+        want = omega_11(KForm(6, 2, self.omega), LinearMap(out["J"])).coeffs
+        assert np.max(np.abs(out["omega_11"] - want)) \
+            <= 1e-14 * np.max(np.abs(want))
 
 
 class TestMetricComparison:
