@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _DEGENERACY_RATIO = 1e-6
+# Relative mismatch below which eta(s x) = s^rate eta(x) counts as exact.
+_HOMOGENEITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,18 @@ def _default_check_points(seed: int = 0, n: int = 6, radius: float = 1.0):
     return radius * v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _is_homogeneous(eta_field, pts: np.ndarray, probe: KForm,
+                    rate: float) -> bool:
+    """True when eta(s x) = s^rate eta(x) at pts for s in {1/2, 2}, to
+    _HOMOGENEITY_RTOL of the largest coefficient of s^rate eta(x)."""
+    scale = float(np.max(np.abs(probe.coeffs), initial=0.0))
+    for s in (0.5, 2.0):
+        mismatch = np.abs(eta_field(s * pts).coeffs - s ** rate * probe.coeffs)
+        if not np.all(mismatch <= _HOMOGENEITY_RTOL * s ** rate * scale):
+            return False
+    return True
+
+
 def radial_primitive(eta_field, direction: str, decay_rate: float,
                      check_points: Optional[np.ndarray] = None,
                      fd_tol: float = 1e-6, fd_h=None,
@@ -141,6 +155,12 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     decay_rate + degree < 0, which for 2-forms is the rate < -2 condition
     of the asymptotically conical statement. Rates in [-2, 0) are refused,
     there is no convergent variant to integrate.
+
+    Closedness and homogeneity are probed at the check points. Data whose
+    coefficients are homogeneous of degree decay_rate there take the exact
+    path sigma(x) = iota_x eta(x) / (k + decay_rate), the value of either
+    integral; any other closed data are integrated by adaptive quadrature
+    to quad_tol.
     """
     if direction not in ("from_zero", "from_infinity"):
         raise ConfigInvalid(f"unknown direction {direction!r}")
@@ -161,8 +181,13 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     if resid > fd_tol:
         raise NotClosed(f"|d eta| = {resid:.3e} exceeds {fd_tol:.1e}")
 
+    exact = _is_homogeneous(eta_field, pts, probe, decay_rate)
+
     def sigma(x):
         x = np.asarray(x, float)
+        if exact:
+            return KForm(6, k - 1,
+                         contract(x, eta_field(x)).coeffs / (k + decay_rate))
 
         def integrand(u):
             return (u ** (k - 1)) * contract(x, eta_field(u * x)).coeffs
@@ -187,12 +212,14 @@ def moser_vector_field(sigma: KForm, omega_t: KForm) -> np.ndarray:
     interior product the equation reads W^T X = -sigma for the component
     matrix W of omega_t. Near-singular W (smallest singular value under
     1e-6 of the largest) raises Degenerate, the caller's cue to shrink
-    the domain.
+    the domain. The singular values are compared through the eigenvalues
+    of W^T W, their squares, without a square root, so a rank-deficient
+    W whose smallest eigenvalue rounds below zero raises too.
     """
     W = omega_t.as_tensor()
-    sv = np.linalg.svd(W, compute_uv=False)
-    ratio = sv[..., -1] / sv[..., 0]
-    if np.any(ratio < _DEGENERACY_RATIO):
+    ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)
+    if np.any(ev[..., 0] < _DEGENERACY_RATIO ** 2 * ev[..., -1]):
+        ratio = np.sqrt(np.clip(ev[..., 0], 0.0, None) / ev[..., -1])
         raise Degenerate(
             f"omega_t singular value ratio {float(np.min(ratio)):.2e}")
     X = np.linalg.solve(np.swapaxes(W, -1, -2), -sigma.coeffs[..., None])

@@ -172,6 +172,29 @@ class TestRadialPrimitive:
         prim = mo.radial_primitive(zero, "from_zero", 1.0)
         assert np.abs(prim(self.x).coeffs).max() == 0.0
 
+    def test_non_homogeneous_data_take_quadrature(self, monkeypatch):
+        calls, quad_vec = [], mo.quad_vec
+
+        def counted_quad_vec(*args, **kwargs):
+            calls.append(1)
+            return quad_vec(*args, **kwargs)
+
+        monkeypatch.setattr(mo, "quad_vec", counted_quad_vec)
+        # a sum of two rates is closed but homogeneous of no degree
+        e4, e5 = eta_weight(4.0), eta_weight(5.0)
+        prim = mo.radial_primitive(lambda y: e4(y) + e5(y), "from_zero", 2.0)
+        want = (weighted_primitive(4.0, self.x).coeffs
+                + weighted_primitive(5.0, self.x).coeffs)
+        assert np.abs(prim(self.x).coeffs - want).max() < 1e-12
+        assert calls
+        # a mis-stated rate fails the homogeneity probe, not the primitive
+        calls.clear()
+        exact = mo.radial_primitive(e4, "from_zero", 2.0)(self.x)
+        assert not calls
+        misstated = mo.radial_primitive(e4, "from_zero", 1.0)(self.x)
+        assert calls
+        assert np.abs(misstated.coeffs - exact.coeffs).max() < 1e-12
+
 
 class TestMoserVectorField:
 
@@ -205,6 +228,22 @@ class TestMoserVectorField:
         rank2.coeffs[:, 0] = 1.0
         with pytest.raises(Degenerate):
             mo.moser_vector_field(KForm(6, 1, self.x.copy()), rank2)
+
+    @pytest.mark.parametrize("offset,raises", [(-1e-3, True), (1e-3, False)])
+    def test_degeneracy_boundary(self, offset, raises):
+        # dx0^dx1 + dx2^dx3 + s dx4^dx5: singular values (1, 1, s), twice
+        s = mo._DEGENERACY_RATIO * (1.0 + offset)
+        om = KForm.from_tensor(6, 2, np.array([
+            [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0], [0, 0, -1, 0, 0, 0],
+            [0, 0, 0, 0, 0, s], [0, 0, 0, 0, -s, 0]], float))
+        sigma = KForm(6, 1, np.ones(6))
+        if raises:
+            with pytest.raises(Degenerate):
+                mo.moser_vector_field(sigma, om)
+        else:
+            X = mo.moser_vector_field(sigma, om)
+            assert np.abs(sigma.coeffs + contract(X, om).coeffs).max() < 1e-9
 
 
 class TestMoserIntegrate:
@@ -257,6 +296,16 @@ class TestMoserIntegrate:
                                  steps=16, n_dirs=6, n_radii=4, fd_h=1e-4)
         assert res.halvings == 1
         assert res.shrunk_domain == (0.1, 0.35)
+        assert res.pullback_residual < 1e-6
+
+    def test_homogeneous_data_skip_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quad_vec called on homogeneous data")
+        monkeypatch.setattr(mo, "quad_vec", no_quadrature)
+        res = mo.moser_integrate(self.cone, eta_weight(5.0, amp=0.3), 3.0,
+                                 (0.1, 0.6), steps=4, n_dirs=2, n_radii=2,
+                                 fd_h=1e-4)
+        assert res.halvings == 0
         assert res.pullback_residual < 1e-6
 
     def test_domain_escape_raises(self):
