@@ -51,28 +51,53 @@ FLAT_OMEGA = KForm(6, 2, _OM0.copy())
 FLAT_OMEGA3 = KForm(6, 3, _RE0 + 1j * _IM0)
 
 
-def _frame_tables(form: KForm) -> tuple:
-    """Constant tables of a form over the standard frame e_i:
-    (e_i ^ form, iota_{e_i} form, e_i ^ iota_{e_j} form), the last with
-    (i, j) flattened, so that for a vector n
+def _real_table(table: np.ndarray) -> np.ndarray:
+    """A complex (rows, cols) table as a read-only real (rows, 2 cols)
+    array, real and imaginary parts interleaved, for _table_product."""
+    out = np.ascontiguousarray(table, dtype=np.complex128).view(np.float64)
+    out.setflags(write=False)
+    return out
 
-        n ^ form = n @ wedged,  iota_n form = n @ iota,
-        n ^ iota_n form = (n n^T).ravel() @ radial.
+
+def _table_product(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """a @ T for a real a and a complex table T stored by _real_table.
+
+    The product runs in real arithmetic: a complex T would make numpy
+    cast a to complex and run a complex matmul of twice the work.
+    """
+    return (a @ table).view(np.complex128)
+
+
+def _frame_tables(form: KForm) -> tuple:
+    """Constant tables of a complex form over the standard frame e_i:
+    (e_i ^ form, iota_{e_i} form, e_i ^ iota_{e_j} form), the last with
+    (i, j) flattened, each stored by _real_table, so that for a vector n
+
+        n ^ form = _table_product(n, wedged),
+        iota_n form = _table_product(n, iota),
+        n ^ iota_n form = _table_product((n n^T).ravel(), radial).
     """
     E = np.eye(6)
     iota = contract(E, form).coeffs
     wedged = wedge(KForm(6, 1, E), form).coeffs
     radial = wedge(KForm(6, 1, E[:, None, :]),
                    KForm(6, form.degree - 1, iota[None, :, :])).coeffs
-    for table in (iota, wedged, radial):
-        table.setflags(write=False)
-    return wedged, iota, radial.reshape(36, -1)
+    return (_real_table(wedged), _real_table(iota),
+            _real_table(radial.reshape(36, -1)))
 
 
 def _radial_wedge(xhat: np.ndarray, radial: np.ndarray) -> np.ndarray:
     """xhat ^ iota_xhat of a form, from its e_i ^ iota_{e_j} table."""
     outer = xhat[..., :, None] * xhat[..., None, :]
-    return outer.reshape(xhat.shape[:-1] + (36,)) @ radial
+    return _table_product(outer.reshape(xhat.shape[:-1] + (36,)), radial)
+
+
+def _polar(x: np.ndarray, r=None) -> tuple:
+    """(r, xhat) = (|x|, x / |x|); r is taken as given when passed."""
+    x = np.asarray(x, float)
+    if r is None:
+        r = np.linalg.norm(x, axis=-1)
+    return r, x / r[..., None]
 
 
 _, _IOTA_OMEGA3, _RADIAL_OMEGA3 = _frame_tables(FLAT_OMEGA3)
@@ -502,25 +527,27 @@ class ACGeometry:
         x = np.asarray(x, float)
         r = np.linalg.norm(x, axis=-1)
         return KForm(6, 2, (self._profile_c(r) / 3.0)[..., None]
-                     * (x @ _IOTA_OMEGA3))
+                     * _table_product(x, _IOTA_OMEGA3))
 
     def correction_dB(self, x: np.ndarray) -> KForm:
         """d(correction_B), exact: c(r) Omega + c'(r) r dr ^ iota_dr Omega / 3."""
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1)
-        a6 = self.resolution_scale ** 6
-        c = self._profile_c(r)
-        cp = 3.0 * a6 / (r ** 7 * np.sqrt(1.0 - a6 / r ** 6))
-        radial = _radial_wedge(x / r[..., None], _RADIAL_OMEGA3)
-        return KForm(6, 3, c[..., None] * FLAT_OMEGA3.coeffs
-                     + (cp * r / 3.0)[..., None] * radial)
+        return KForm(6, 3, self.correction_terms(x)[0])
 
     def dr_wedge_B(self, x: np.ndarray) -> KForm:
         """dr ^ correction_B = c(r) r dr ^ iota_dr Omega / 3."""
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1)
-        radial = _radial_wedge(x / r[..., None], _RADIAL_OMEGA3)
-        return KForm(6, 3, (self._profile_c(r) * r / 3.0)[..., None] * radial)
+        return KForm(6, 3, self.correction_terms(x)[1])
+
+    def correction_terms(self, x: np.ndarray) -> tuple:
+        """Coefficients of (correction_dB, dr_wedge_B) at x, sharing one
+        |x| and one dr ^ iota_dr Omega."""
+        r, xhat = _polar(x)
+        a6 = self.resolution_scale ** 6
+        c = self._profile_c(r)
+        cp = 3.0 * a6 / (r ** 7 * np.sqrt(1.0 - a6 / r ** 6))
+        radial = _radial_wedge(xhat, _RADIAL_OMEGA3)
+        return (c[..., None] * FLAT_OMEGA3.coeffs
+                + (cp * r / 3.0)[..., None] * radial,
+                (c * r / 3.0)[..., None] * radial)
 
     def _profile_c(self, r):
         a6 = self.resolution_scale ** 6
@@ -625,9 +652,8 @@ class SyntheticPerturbation:
     def _pullback_b(self, x: np.ndarray) -> KForm:
         """q^*(b) = r^-2 (b - xhat ^ iota_xhat b): dq = (1 - xhat xhat^T)/r
         projects out the radial direction."""
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1)
-        radial = _radial_wedge(x / r[..., None], self._radial_b)
+        r, xhat = _polar(x)
+        radial = _radial_wedge(xhat, self._radial_b)
         return KForm(6, 2, (self._b.coeffs - radial) / r[..., None] ** 2)
 
     def primitive_A(self, x: np.ndarray) -> KForm:
@@ -639,17 +665,20 @@ class SyntheticPerturbation:
     def dA(self, x: np.ndarray) -> KForm:
         """amplitude (nu+3) r^(nu+2) dr ^ q^*b = amplitude (nu+3) r^nu
         xhat ^ b, since dr ^ q^*b = xhat ^ b / r^2."""
-        return self._dr_wedge_b(x, self.amplitude * (self.nu + 3.0), self.nu)
+        return KForm(6, 3, self.correction_terms(x)[0])
 
     def dr_wedge_A(self, x: np.ndarray) -> KForm:
         """dr ^ primitive_A = amplitude r^(nu+1) xhat ^ b."""
-        return self._dr_wedge_b(x, self.amplitude, self.nu + 1.0)
+        return KForm(6, 3, self.correction_terms(x)[1])
 
-    def _dr_wedge_b(self, x, factor, power) -> KForm:
-        x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1)
-        xhat_b = (x / r[..., None]) @ self._wedge_b
-        return KForm(6, 3, (factor * r ** power)[..., None] * xhat_b)
+    def correction_terms(self, x: np.ndarray, r=None) -> tuple:
+        """Coefficients of (dA, dr_wedge_A) at x, sharing one |x| (or the
+        given r) and one xhat ^ b."""
+        r, xhat = _polar(x, r)
+        xhat_b = _table_product(xhat, self._wedge_b)
+        return ((self.amplitude * (self.nu + 3.0) * r ** self.nu)[..., None]
+                * xhat_b,
+                (self.amplitude * r ** (self.nu + 1.0))[..., None] * xhat_b)
 
 
 @dataclass(frozen=True)

@@ -156,28 +156,42 @@ class CorrectionForms:
     """Primitives of the two holomorphic volume form defects.
 
     A lives on the conical side (rate nu, vanishing toward the tip), B on
-    the AC side (rate lam, decaying outward); dA and dB are their exact
-    differentials, dr_A and dr_B their wedges dr ^ A and dr ^ B with the
-    radial 1-form, which make the seam term. Unpacking yields (A, B).
+    the AC side (rate lam, decaying outward). dA_terms(x, r=None) and
+    dB_terms(x) return the coefficients of the exact differential and of
+    its seam partner, the wedge dr ^ A (or dr ^ B) with the radial 1-form;
+    each pair shares one |x| (dA_terms takes r = |x| when given) and one
+    radial product. dA, dB, dr_A and dr_B read one of them as a form.
+    Unpacking yields (A, B).
     """
 
     A: Callable
-    dA: Callable
     B: Callable
-    dB: Callable
-    dr_A: Callable
-    dr_B: Callable
+    dA_terms: Callable
+    dB_terms: Callable
 
     def __iter__(self):
         return iter((self.A, self.B))
+
+    def dA(self, x) -> KForm:
+        return KForm(6, 3, self.dA_terms(x)[0])
+
+    def dB(self, x) -> KForm:
+        return KForm(6, 3, self.dB_terms(x)[0])
+
+    def dr_A(self, x) -> KForm:
+        return KForm(6, 3, self.dA_terms(x)[1])
+
+    def dr_B(self, x) -> KForm:
+        return KForm(6, 3, self.dB_terms(x)[1])
 
 
 def _zero_two_form(x):
     return KForm.zero(6, 2, np.asarray(x).shape[:-1], complex_=True)
 
 
-def _zero_three_form(x):
-    return KForm.zero(6, 3, np.asarray(x).shape[:-1], complex_=True)
+def _zero_terms(x, r=None):
+    zero = np.zeros(np.asarray(x).shape[:-1] + (20,), complex)
+    return zero, zero
 
 
 def correction_forms(config: GluingConfig, cone: ConeGeometry,
@@ -196,14 +210,13 @@ def correction_forms(config: GluingConfig, cone: ConeGeometry,
     if ac.modelled_cone.descriptor() != cone.descriptor():
         raise ConfigInvalid("AC space is modelled on a different cone")
     if perturbation is None:
-        A, dA, dr_A = _zero_two_form, _zero_three_form, _zero_three_form
+        A, dA_terms = _zero_two_form, _zero_terms
     else:
         if perturbation.nu != config.nu:
             raise ConfigInvalid("perturbation rate disagrees with config")
-        A, dA = perturbation.primitive_A, perturbation.dA
-        dr_A = perturbation.dr_wedge_A
-    return CorrectionForms(A=A, dA=dA, B=ac.correction_B, dB=ac.correction_dB,
-                           dr_A=dr_A, dr_B=ac.dr_wedge_B)
+        A, dA_terms = perturbation.primitive_A, perturbation.correction_terms
+    return CorrectionForms(A=A, B=ac.correction_B, dA_terms=dA_terms,
+                           dB_terms=ac.correction_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +262,15 @@ class GluedStructure:
         s = r * t ** (-alpha)
         F = cutoff_F(s)
         Fp = cutoff_F_prime(s)
-        cf = self.corrections
-        y = x / t
+        dA, dr_A = self.corrections.dA_terms(x, r)
+        # |x/t| is taken afresh, as Omega_p takes it, not rounded from r / t
+        dB, dr_B = self.corrections.dB_terms(x / t)
         out = (FLAT_OMEGA3.coeffs
-               + F[..., None] * cf.dA(x).coeffs
-               + (1.0 - F)[..., None] * cf.dB(y).coeffs)
+               + F[..., None] * dA
+               + (1.0 - F)[..., None] * dB)
         if np.any(Fp != 0.0):
-            # dr ^ (A - B_t), B_t(x) = t B(x/t); dr is the same at x and y
-            seam = cf.dr_A(x).coeffs - t * cf.dr_B(y).coeffs
+            # dr ^ (A - B_t), B_t(x) = t B(x/t); dr is the same at x and x/t
+            seam = dr_A - t * dr_B
             out = out + (Fp * t ** (-alpha))[..., None] * seam
         return KForm(6, 3, out)
 

@@ -401,6 +401,23 @@ class TestSyntheticPerturbation:
             assert np.max(np.abs(got.coeffs - form.coeffs)) \
                 < 1e-13 * np.max(np.abs(form.coeffs)), name
 
+    def test_real_tables_match_complex_matmul(self):
+        # the real-arithmetic product against numpy's complex matmul of the
+        # same tables, for FLAT_OMEGA3's radial and iota tables and b's
+        rng = np.random.default_rng(22)
+        xhat = unit_dirs(64, seed=22)
+        outer = (xhat[:, :, None] * xhat[:, None, :]).reshape(64, 36)
+        cases = [(outer, cn._RADIAL_OMEGA3), (xhat, cn._IOTA_OMEGA3),
+                 (xhat, self.pert._wedge_b), (outer, self.pert._radial_b),
+                 (rng.standard_normal(6), self.pert._wedge_b)]
+        for a, table in cases:
+            assert table.dtype == np.float64
+            want = a @ table.view(np.complex128)
+            got = cn._table_product(a, table)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) \
+                <= 1e-15 * np.max(np.abs(want))
+
     def test_seed_reproducibility(self):
         p2 = self.patch.synthetic_perturbation(nu=2.0, amplitude=0.1, seed=0)
         assert np.array_equal(p2.b_re, self.pert.b_re)

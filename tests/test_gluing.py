@@ -219,6 +219,7 @@ class TestGluedStructure:
             <= 1e-13 * np.max(np.abs(seam))
 
     def test_closed_form_pass_makes_no_generic_kernel_call(self, glued,
+                                                           geometry,
                                                            monkeypatch):
         calls = collections.Counter()
 
@@ -242,6 +243,31 @@ class TestGluedStructure:
         gl.su3._recover_batch(
             np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
         assert calls == {"_theta2_tensor": 1}
+
+        # on the neck nodes: one xhat ^ iota_xhat Omega_V and one xhat ^ b
+        # per Omega_t call, and a recovery that certifies positivity
+        # without an eigensolve
+        calls.clear()
+        neck = gl._sup_grid(glued.config)
+        tables = {id(cn._RADIAL_OMEGA3): "radial_Omega",
+                  id(geometry[2]._wedge_b): "xhat_b"}
+        table_product = cn._table_product
+
+        def counted_product(a, table):
+            calls[tables.get(id(table), "other")] += 1
+            return table_product(a, table)
+
+        monkeypatch.setattr(cn, "_table_product", counted_product)
+        monkeypatch.setattr(cn, "_radial_wedge",
+                            counted("_radial_wedge", cn._radial_wedge))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        Om = glued.Omega_t(neck).coeffs
+        assert calls == {"_radial_wedge": 1, "radial_Omega": 1, "xhat_b": 1}
+        out = gl.su3._recover_batch(
+            np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
+        assert np.all(out["positive"])
+        assert calls["eigvalsh"] == 0
 
     def test_kaehler_form_equals_cone_form_off_the_resolved_side(self, glued):
         x = 0.5 * unit_dirs(3)

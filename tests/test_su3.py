@@ -183,6 +183,22 @@ class TestRecovery:
         with pytest.raises(NotPositive):
             recover_su3(oc.to_kform({(0, 1): 1.0}, 6, 2), OMEGA0)
 
+    def test_indefinite_metric_raises_not_positive_at_its_sample(self):
+        # omega = e01 - e23 - e45 has signature (1, 2) and omega^3 > 0, so
+        # f > 0 and only the metric's eigenvalues can refuse it
+        indefinite = oc.to_kform({(0, 1): 1.0, (2, 3): -1.0, (4, 5): -1.0},
+                                 6, 2)
+        om = np.tile(OM0.coeffs, (4, 1))
+        om[2] = indefinite.coeffs
+        Om = KForm(6, 3, np.tile(OMEGA0.coeffs, (4, 1)))
+        out = su3._recover_batch(om, Om.coeffs)
+        assert np.all(out["f"] > 0)
+        with pytest.raises(NotPositive) as err:
+            recover_su3(KForm(6, 2, om), Om)
+        assert err.value.sample_index == [2]
+        with pytest.raises(NotPositive):
+            recover_su3(indefinite, OMEGA0)
+
     def test_homothety_covariance(self):
         # (c^2 omega, c^3 Omega) recovers g = c^2 g and identical defects
         c = 1.3
@@ -242,6 +258,70 @@ class TestRecoveryKernels:
         want = omega_11(KForm(6, 2, self.omega), LinearMap(out["J"])).coeffs
         assert np.max(np.abs(out["omega_11"] - want)) \
             <= 1e-14 * np.max(np.abs(want))
+
+
+class TestPositivityCertificate:
+    """The Gershgorin certificate against the eigenvalue rule it skips."""
+
+    def _mixed_batch(self):
+        # 12 diagonally dominant metrics, 16 with w_min within 1 % of
+        # _POS_RTOL max|w| on either side, 8 indefinite ones
+        rng = np.random.default_rng(41)
+        noise = rng.standard_normal((12, 6, 6))
+        dominant = (rng.uniform(0.5, 2.0, (12, 1, 1)) * np.eye(6)
+                    + 0.02 * (noise + np.swapaxes(noise, -1, -2)))
+        w = rng.uniform(0.5, 2.0, (24, 6))
+        w[:, 5] = 2.0
+        w[:16, 0] = (su3._POS_RTOL * 2.0
+                     * (1.0 + 0.01 * np.where(np.arange(16) % 2, 1, -1)))
+        w[16:, 0] = -rng.uniform(0.1, 1.0, 8)
+        Q, _ = np.linalg.qr(rng.standard_normal((24, 6, 6)))
+        # diagonal ones, where the row bound is exact
+        Q[:4] = np.eye(6)
+        rotated = Q @ (w[:, :, None] * np.swapaxes(Q, -1, -2))
+        g = np.concatenate([dominant, rotated])
+        return 0.5 * (g + np.swapaxes(g, -1, -2)), 12
+
+    def _counted_eigvalsh(self, monkeypatch):
+        sent = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sent.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return sent
+
+    def test_mask_equals_eigenvalue_rule(self, monkeypatch):
+        g, n_certified = self._mixed_batch()
+        w = np.linalg.eigvalsh(g)
+        rule = w[:, 0] > su3._POS_RTOL * np.max(np.abs(w), axis=-1)
+        # both sides of the threshold are present
+        assert np.any(rule[n_certified:28]) and not np.all(rule[n_certified:28])
+        sent = self._counted_eigvalsh(monkeypatch)
+        got = su3._positive_metric(g, np.ones(len(g), bool))
+        assert np.array_equal(got, rule)
+        assert len(sent) == 1
+        assert np.array_equal(sent[0], g[n_certified:])
+
+    def test_rejected_candidates_skip_the_eigensolve(self, monkeypatch):
+        g, n_certified = self._mixed_batch()
+        candidate = np.ones(len(g), bool)
+        candidate[n_certified:] = False
+        sent = self._counted_eigvalsh(monkeypatch)
+        got = su3._positive_metric(g, candidate)
+        assert np.array_equal(got, candidate)
+        assert not sent
+
+    def test_unbatched_metric(self, monkeypatch):
+        g, n_certified = self._mixed_batch()
+        sent = self._counted_eigvalsh(monkeypatch)
+        ok = su3._positive_metric(g[0], np.array(True))
+        assert ok.shape == () and ok
+        assert not sent
+        bad = su3._positive_metric(g[-1], np.array(True))
+        assert bad.shape == () and not bad
+        assert len(sent) == 1
 
 
 class TestMetricComparison:
