@@ -50,6 +50,10 @@ class Degenerate(CyglueError):
     """A 2-form became numerically degenerate (smallest singular value below
     1e-6 of the largest)."""
 
+    def __init__(self, message, sample_index=None):
+        super().__init__(message)
+        self.sample_index = sample_index
+
 
 class DomainEscape(CyglueError):
     """A flow trajectory left the coordinate chart."""

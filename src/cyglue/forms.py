@@ -26,8 +26,11 @@ from .errors import DegenerateMetric, DimensionMismatch
 __all__ = [
     "KForm", "MetricTensor", "LinearMap",
     "wedge", "contract", "hodge_star", "form_norm", "pullback",
-    "lower_tensor_norm",
+    "lower_tensor_norm", "gershgorin_certified",
 ]
+
+# Gershgorin margin that certifies an eigenvalue rule without an eigensolve
+_CERT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -315,3 +318,26 @@ def lower_tensor_norm(g: MetricTensor, T: np.ndarray, order: int) -> np.ndarray:
         q = np.einsum(spec, T, T, *([ginv] * order), optimize=True)
     return np.sqrt(np.maximum(q, 0.0))
 
+
+def gershgorin_certified(a: np.ndarray) -> np.ndarray:
+    """Mask over the leading axes of the symmetric matrices a (..., n, n)
+    whose rows certify w_min > _CERT_MARGIN max|w| for their eigenvalues w.
+
+    By Gershgorin's circle theorem every eigenvalue lies within
+    sum_{j != i} |a_ij| of some a_ii, so lower = min_i (2 a_ii - sum_j |a_ij|)
+    <= w_min, and upper = max_i sum_j |a_ij| = ||a||_inf >= max|w|. The mask
+    is lower > _CERT_MARGIN upper.
+
+    It stands in for an eigenvalue rule w_min > rtol max|w| whose rtol is
+    far below _CERT_MARGIN. eigvalsh is backward stable: its eigenvalues
+    differ from the exact ones by a small multiple of eps ||a||_2 <= eps
+    upper. The row sums carry about n eps upper of rounding, as does any
+    rounding-level asymmetry of a. All of these are far below
+    (_CERT_MARGIN - rtol) upper, so a certified matrix also passes the rule
+    as eigvalsh computes it, and only the others need the eigensolve.
+    """
+    rows = np.sum(np.abs(a), axis=-1)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    lower = np.min(2.0 * diag - rows, axis=-1)
+    upper = np.max(rows, axis=-1)
+    return lower > _CERT_MARGIN * upper

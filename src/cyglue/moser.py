@@ -22,7 +22,8 @@ from scipy.integrate import quad_vec
 from .analysis import fd_exterior_derivative
 from .errors import (ConfigInvalid, Degenerate, DomainEscape, NotClosed,
                      RateOutOfRange)
-from .forms import KForm, LinearMap, contract, form_norm, pullback, wedge
+from .forms import (KForm, LinearMap, contract, form_norm,
+                    gershgorin_certified, pullback, wedge)
 
 __all__ = [
     "SplitForm", "RadialPrimitive", "MoserResult",
@@ -61,16 +62,25 @@ class RadialPrimitive:
     direction "from_zero" integrates along rays from the tip (conical
     data, positive rate); "from_infinity" integrates from the far end (AC
     data, rate below -degree). The evaluator maps points to KForm batches
-    of one degree less than the input form.
+    of one degree less than the input form. exact marks data homogeneous
+    of degree decay_rate, whose primitive at x reads the value of eta at x
+    alone (from_value).
     """
 
     evaluator: Callable
     degree: int
     decay_rate: float
     direction: str
+    exact: bool
 
     def __call__(self, x):
         return self.evaluator(x)
+
+    def from_value(self, x, eta: KForm) -> KForm:
+        """Exact primitive iota_x eta / (k + decay_rate) from the value eta
+        of the form at x; valid only when exact."""
+        return KForm(6, self.degree - 1,
+                     contract(x, eta).coeffs / (self.degree + self.decay_rate))
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,7 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     def sigma(x):
         x = np.asarray(x, float)
         if exact:
-            return KForm(6, k - 1,
-                         contract(x, eta_field(x)).coeffs / (k + decay_rate))
+            return prim.from_value(x, eta_field(x))
 
         def integrand(u):
             return (u ** (k - 1)) * contract(x, eta_field(u * x)).coeffs
@@ -201,8 +210,9 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
             val = -val
         return KForm(6, k - 1, val)
 
-    return RadialPrimitive(evaluator=sigma, degree=k,
-                           decay_rate=decay_rate, direction=direction)
+    prim = RadialPrimitive(evaluator=sigma, degree=k, decay_rate=decay_rate,
+                           direction=direction, exact=exact)
+    return prim
 
 
 def moser_vector_field(sigma: KForm, omega_t: KForm) -> np.ndarray:
@@ -210,18 +220,33 @@ def moser_vector_field(sigma: KForm, omega_t: KForm) -> np.ndarray:
 
     Both forms are batches at common sample points; with the first-slot
     interior product the equation reads W^T X = -sigma for the component
-    matrix W of omega_t. Near-singular W (smallest singular value under
-    1e-6 of the largest) raises Degenerate, the caller's cue to shrink
-    the domain. The singular values are compared through the eigenvalues
-    of W^T W, their squares, without a square root, so a rank-deficient
-    W whose smallest eigenvalue rounds below zero raises too.
+    matrix W of omega_t. A sample whose W has its smallest singular value
+    under 1e-6 of the largest is degenerate. The singular values are
+    compared through the eigenvalues of A = W^T W, their squares, without
+    a square root, so a rank-deficient W whose smallest eigenvalue rounds
+    below zero is degenerate too. A is positive semi-definite, so its
+    largest eigenvalue is max|w| and the Gershgorin row bounds of A
+    certify most samples without an eigensolve
+    (forms.gershgorin_certified); only the others go to eigvalsh.
+
+    A degenerate sample raises Degenerate, whose sample_index is the first
+    such sample. moser_integrate does not catch it: the flow ends there,
+    since it retries on a shrunk domain only after a radius escape.
     """
     W = omega_t.as_tensor()
-    ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)
-    if np.any(ev[..., 0] < _DEGENERACY_RATIO ** 2 * ev[..., -1]):
-        ratio = np.sqrt(np.clip(ev[..., 0], 0.0, None) / ev[..., -1])
-        raise Degenerate(
-            f"omega_t singular value ratio {float(np.min(ratio)):.2e}")
+    A = np.swapaxes(W, -1, -2) @ W
+    flat = A.reshape((-1, 6, 6))
+    todo = np.flatnonzero(~gershgorin_certified(flat))
+    if len(todo):
+        ev = np.linalg.eigvalsh(flat[todo])
+        bad = ev[:, 0] < _DEGENERACY_RATIO ** 2 * ev[:, -1]
+        if np.any(bad):
+            ratio = np.sqrt(np.clip(ev[:, 0], 0.0, None) / ev[:, -1])
+            first = np.unravel_index(todo[np.argmax(bad)],
+                                     A.shape[:-2] or (1,))
+            raise Degenerate(
+                f"omega_t singular value ratio {float(np.min(ratio)):.2e}",
+                sample_index=[int(i) for i in first])
     X = np.linalg.solve(np.swapaxes(W, -1, -2), -sigma.coeffs[..., None])
     return X[..., 0]
 
@@ -262,8 +287,10 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
         return cone.fields_at(y).omega
 
     def velocity(t, y):
-        om_t = omega_v(y) + eta_field(y) * t
-        return moser_vector_field(prim(y), om_t)
+        # the exact primitive and omega_t read one value of eta per stage
+        eta = eta_field(y)
+        sigma = prim.from_value(y, eta) if prim.exact else prim(y)
+        return moser_vector_field(sigma, omega_v(y) + eta * t)
 
     lo_bound, hi_bound = 0.5 * a, b
 

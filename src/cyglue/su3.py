@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _multiindex as mi
 from .errors import DimensionMismatch, NotPositive, NotStable
-from .forms import KForm, LinearMap, MetricTensor, form_norm, pullback, wedge
+from .forms import (KForm, LinearMap, MetricTensor, form_norm,
+                    gershgorin_certified, pullback, wedge)
 
 __all__ = [
     "SU3Structure", "NearlyCYReport", "Prop32Record",
@@ -32,8 +33,6 @@ __all__ = [
 
 _STABLE_RTOL = 1e-13
 _POS_RTOL = 1e-12
-# Gershgorin margin that certifies positivity without an eigensolve
-_CERT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,8 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     samples with f > 0. A Gershgorin certificate decides it without an
     eigensolve wherever it can: the rows of g bound w_min from below and
     max|w| from above, and a sample whose bounds clear a margin far above
-    _POS_RTOL always passes the rule (argument in _positive_metric).
+    _POS_RTOL always passes the rule (argument in
+    forms.gershgorin_certified).
     """
     theta1 = np.real(Omega_c)
     J, lam, stable, t2p = _acs_batch(theta1)
@@ -231,25 +231,12 @@ def _positive_metric(g: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """Mask of the candidate samples whose symmetric metric g has
     w_min > _POS_RTOL max|w| for its eigenvalues w.
 
-    Most samples are decided without an eigensolve. By Gershgorin's
-    circle theorem every eigenvalue lies within sum_{j != i} |g_ij| of
-    some g_ii, so lower = min_i (2 g_ii - sum_j |g_ij|) <= w_min, and
-    upper = max_i sum_j |g_ij| = ||g||_inf >= max|w|. A sample with
-    lower > _CERT_MARGIN upper therefore has w_min > _CERT_MARGIN max|w|.
-    eigvalsh is backward stable: its eigenvalues differ from the exact
-    ones by a small multiple of eps ||g||_2 <= eps upper. The row sums
-    carry about 6 eps upper of rounding. Both are far below
-    (_CERT_MARGIN - _POS_RTOL) upper, so such a sample also passes the
-    eigenvalue rule as eigvalsh computes it: it is certified positive.
-    Only the remaining candidates go to eigvalsh.
+    The candidates that forms.gershgorin_certified certifies pass without
+    an eigensolve; only the remaining candidates go to eigvalsh.
     """
     gf = g.reshape((-1, 6, 6))
     cand = candidate.reshape(-1)
-    rows = np.sum(np.abs(gf), axis=-1)
-    diag = np.diagonal(gf, axis1=-2, axis2=-1)
-    lower = np.min(2.0 * diag - rows, axis=-1)
-    upper = np.max(rows, axis=-1)
-    positive = cand & (lower > _CERT_MARGIN * upper)
+    positive = cand & gershgorin_certified(gf)
     todo = cand & ~positive
     if np.any(todo):
         w = np.linalg.eigvalsh(gf[todo])

@@ -5,6 +5,7 @@ import pytest
 
 import cyglue.cones as cn
 import cyglue.moser as mo
+from cyglue import cli
 from cyglue.analysis import fd_exterior_derivative
 from cyglue.errors import (ConfigInvalid, Degenerate, DomainEscape, NotClosed,
                            RateOutOfRange)
@@ -226,8 +227,9 @@ class TestMoserVectorField:
     def test_degenerate_raises(self):
         rank2 = KForm.zero(6, 2, (5,))
         rank2.coeffs[:, 0] = 1.0
-        with pytest.raises(Degenerate):
+        with pytest.raises(Degenerate) as err:
             mo.moser_vector_field(KForm(6, 1, self.x.copy()), rank2)
+        assert err.value.sample_index == [0]
 
     @pytest.mark.parametrize("offset,raises", [(-1e-3, True), (1e-3, False)])
     def test_degeneracy_boundary(self, offset, raises):
@@ -244,6 +246,104 @@ class TestMoserVectorField:
         else:
             X = mo.moser_vector_field(sigma, om)
             assert np.abs(sigma.coeffs + contract(X, om).coeffs).max() < 1e-9
+
+
+def two_forms_with_singular_values(s, Q):
+    """2-forms Q D Q^T with D the blocks [[0, s_i], [-s_i, 0]]: singular
+    values s_i, each twice."""
+    D = np.zeros(s.shape[:-1] + (6, 6))
+    for i in range(3):
+        D[..., 2 * i, 2 * i + 1] = s[..., i]
+        D[..., 2 * i + 1, 2 * i] = -s[..., i]
+    return KForm.from_tensor(6, 2, Q @ D @ np.swapaxes(Q, -1, -2))
+
+
+def degeneracy_rule(om):
+    # the eigenvalue rule moser_vector_field applies to W^T W
+    W = om.as_tensor()
+    ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)
+    return ev[..., 0] < mo._DEGENERACY_RATIO ** 2 * ev[..., -1]
+
+
+class TestDegeneracyCertificate:
+    """The Gershgorin certificate against the eigenvalue rule it skips."""
+
+    def _batch(self, n_certified, s_min):
+        # n_certified near-Kaehler forms, then rotated forms with singular
+        # values (2, u, s_min) for u in [0.5, 2]
+        rng = np.random.default_rng(43)
+        x = unit_dirs(n_certified, seed=5, radius=0.7)
+        near = (cn.flat_c3_cone().fields_at(x).omega.coeffs
+                + 0.02 * rng.standard_normal((n_certified, 15)))
+        s = np.stack([np.full(len(s_min), 2.0),
+                      rng.uniform(0.5, 2.0, len(s_min)), s_min], axis=-1)
+        Q, _ = np.linalg.qr(rng.standard_normal((len(s_min), 6, 6)))
+        rotated = two_forms_with_singular_values(s, Q).coeffs
+        om = KForm(6, 2, np.concatenate([near, rotated]))
+        sigma = KForm(6, 1, rng.standard_normal((len(om.coeffs), 6)))
+        return sigma, om
+
+    def test_certified_batch_skips_the_eigensolve(self, count_eigvalsh):
+        sigma, om = self._batch(12, np.empty(0))
+        sent = count_eigvalsh()
+        X = mo.moser_vector_field(sigma, om)
+        assert not sent
+        assert np.abs(sigma.coeffs + contract(X, om).coeffs).max() < 1e-12
+
+    def test_only_uncertified_rows_reach_eigvalsh(self, count_eigvalsh):
+        # singular value ratios 2e-3 and 1e-5: nondegenerate, uncertified
+        sigma, om = self._batch(12, np.array([4e-3, 2e-5, 4e-3, 2e-5]))
+        W = om.as_tensor()
+        A = np.swapaxes(W, -1, -2) @ W
+        sent = count_eigvalsh()
+        X = mo.moser_vector_field(sigma, om)
+        assert len(sent) == 1
+        assert np.array_equal(sent[0], A[12:])
+        assert np.abs(sigma.coeffs + contract(X, om).coeffs).max() < 1e-6
+
+    def test_verdict_equals_eigenvalue_rule(self, count_eigvalsh):
+        # smallest singular value within 1 % of the threshold on either side
+        sides = np.where(np.arange(16) % 2, 1.0, -1.0)
+        sigma, om = self._batch(
+            12, mo._DEGENERACY_RATIO * 2.0 * (1.0 + 0.01 * sides))
+        rule = degeneracy_rule(om)
+        assert not np.any(rule[:12])
+        assert np.any(rule[12:]) and not np.all(rule[12:])
+        # each rotated form, judged alone after the certified ones
+        for i in range(12, len(rule)):
+            keep = np.r_[np.arange(12), i]
+            one_sigma = KForm(6, 1, sigma.coeffs[keep])
+            one_om = KForm(6, 2, om.coeffs[keep])
+            if rule[i]:
+                with pytest.raises(Degenerate) as err:
+                    mo.moser_vector_field(one_sigma, one_om)
+                assert err.value.sample_index == [12]
+            else:
+                mo.moser_vector_field(one_sigma, one_om)
+        # the whole batch names its first degenerate sample and the
+        # smallest singular value ratio
+        W = om.as_tensor()
+        ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)
+        ratio = np.sqrt(np.clip(ev[:, 0], 0.0, None) / ev[:, -1])
+        sent = count_eigvalsh()
+        with pytest.raises(Degenerate) as err:
+            mo.moser_vector_field(sigma, om)
+        assert err.value.sample_index == [int(np.argmax(rule))]
+        assert f"{float(np.min(ratio)):.2e}" in str(err.value)
+        assert len(sent) == 1 and len(sent[0]) == 16
+
+    def test_unbatched_form(self, count_eigvalsh):
+        sigma, om = self._batch(1, np.array([1e-8]))
+        sent = count_eigvalsh()
+        X = mo.moser_vector_field(KForm(6, 1, sigma.coeffs[0]),
+                                  KForm(6, 2, om.coeffs[0]))
+        assert X.shape == (6,)
+        assert not sent
+        with pytest.raises(Degenerate) as err:
+            mo.moser_vector_field(KForm(6, 1, sigma.coeffs[1]),
+                                  KForm(6, 2, om.coeffs[1]))
+        assert err.value.sample_index == [0]
+        assert len(sent) == 1 and sent[0].shape == (1, 6, 6)
 
 
 class TestMoserIntegrate:
@@ -307,6 +407,32 @@ class TestMoserIntegrate:
                                  fd_h=1e-4)
         assert res.halvings == 0
         assert res.pullback_residual < 1e-6
+
+    def test_eta_read_once_per_stage(self):
+        eta = eta_weight(5.0, amp=0.3)
+        calls = []
+
+        def counted(y):
+            calls.append(len(y))
+            return eta(y)
+        # the probes of radial_primitive at moser_integrate's check points
+        mo.radial_primitive(counted, "from_zero", 3.0, fd_h=1e-4,
+                            check_points=mo._sample_grid(0.1, 0.6, 4, 2, 0))
+        n_probe = len(calls)
+        for steps in (4, 8):
+            calls.clear()
+            res = mo.moser_integrate(self.cone, counted, 3.0, (0.1, 0.6),
+                                     steps=steps, n_dirs=2, n_radii=2,
+                                     fd_h=1e-4)
+            assert res.halvings == 0
+            # four RK4 stages per step, then omega_V + eta at the images
+            assert len(calls) == n_probe + 4 * steps + 1
+
+    def test_suite_residuals_at_seed_0(self):
+        report = cli.run(cli.RunConfig(command="moser", seed=0))
+        want = {"8": 6.0682399247148e-08, "16": 4.0879318455077464e-09,
+                "64": 2.2686489431532704e-10}
+        assert report.fitted["residuals"] == pytest.approx(want, rel=1e-12)
 
     def test_domain_escape_raises(self):
         eta = eta_weight(5.0, amp=0.3)

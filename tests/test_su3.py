@@ -282,40 +282,30 @@ class TestPositivityCertificate:
         g = np.concatenate([dominant, rotated])
         return 0.5 * (g + np.swapaxes(g, -1, -2)), 12
 
-    def _counted_eigvalsh(self, monkeypatch):
-        sent = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            sent.append(np.array(a))
-            return eigvalsh(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        return sent
-
-    def test_mask_equals_eigenvalue_rule(self, monkeypatch):
+    def test_mask_equals_eigenvalue_rule(self, count_eigvalsh):
         g, n_certified = self._mixed_batch()
         w = np.linalg.eigvalsh(g)
         rule = w[:, 0] > su3._POS_RTOL * np.max(np.abs(w), axis=-1)
         # both sides of the threshold are present
         assert np.any(rule[n_certified:28]) and not np.all(rule[n_certified:28])
-        sent = self._counted_eigvalsh(monkeypatch)
+        sent = count_eigvalsh()
         got = su3._positive_metric(g, np.ones(len(g), bool))
         assert np.array_equal(got, rule)
         assert len(sent) == 1
         assert np.array_equal(sent[0], g[n_certified:])
 
-    def test_rejected_candidates_skip_the_eigensolve(self, monkeypatch):
+    def test_rejected_candidates_skip_the_eigensolve(self, count_eigvalsh):
         g, n_certified = self._mixed_batch()
         candidate = np.ones(len(g), bool)
         candidate[n_certified:] = False
-        sent = self._counted_eigvalsh(monkeypatch)
+        sent = count_eigvalsh()
         got = su3._positive_metric(g, candidate)
         assert np.array_equal(got, candidate)
         assert not sent
 
-    def test_unbatched_metric(self, monkeypatch):
+    def test_unbatched_metric(self, count_eigvalsh):
         g, n_certified = self._mixed_batch()
-        sent = self._counted_eigvalsh(monkeypatch)
+        sent = count_eigvalsh()
         ok = su3._positive_metric(g[0], np.array(True))
         assert ok.shape == () and ok
         assert not sent
