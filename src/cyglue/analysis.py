@@ -6,8 +6,9 @@ the Riemann and Ricci tensors (optionally Richardson-extrapolated), the
 complex Hessian route to Ricci for Kaehler potentials, and C0/L2/L12
 norms over cone annuli with the measure r^5 dr dmu.
 
-All derivative operators use central differences with a step proportional
-to the distance from the cone tip; fields here are plain callables from
+Every first derivative is taken by one stencil, central_differences,
+with a step proportional to the distance from the cone tip; kahler_ricci
+takes its own second differences. Fields here are plain callables from
 sample points of shape (..., dim) to KForm, MetricTensor, or ndarray
 batches over the same leading axes.
 """
@@ -23,7 +24,7 @@ from .errors import ConfigInvalid
 from .forms import KForm, MetricTensor
 
 __all__ = [
-    "NormReport",
+    "NormReport", "central_differences",
     "fd_exterior_derivative", "christoffel", "covariant_derivative",
     "riemann_ricci", "kahler_ricci", "region_norms", "local_step",
 ]
@@ -65,41 +66,52 @@ def _basis(dim: int, i: int) -> np.ndarray:
     return e
 
 
-def fd_exterior_derivative(field, x: np.ndarray, h=None) -> KForm:
-    """Central-difference exterior derivative of a k-form field at x."""
+def central_differences(f, x: np.ndarray, h=None):
+    """Central-difference partials d_i f at x, with the step local_step(x, h).
+
+    f maps points (..., dim) to an array, or to a dict of named arrays, over
+    the same batch axes; it runs at one shift x +- step e_i at a time. Each
+    result carries the derivative index i right after the batch axes.
+    """
     x = np.asarray(x, float)
     dim = x.shape[-1]
+    nbatch = x.ndim - 1
     step = local_step(x, h)
-    probe = field(x)
-    k = probe.degree
-    partials = []
+    diffs = {}
     for i in range(dim):
         hp = step[..., None] * _basis(dim, i)
-        partials.append((field(x + hp).coeffs - field(x - hp).coeffs)
-                        / (2.0 * step[..., None]))
-    rank_k = mi.index_rank(dim, k)
-    out = np.zeros(x.shape[:-1] + (mi.ncomp(dim, k + 1),),
-                   dtype=probe.coeffs.dtype)
-    for pos, J in enumerate(mi.index_sets(dim, k + 1)):
-        acc = 0.0
-        for p, i in enumerate(J):
-            rest = J[:p] + J[p + 1:]
-            acc = acc + (-1.0) ** p * partials[i][..., rank_k[rest]]
-        out[..., pos] = acc
-    return KForm(dim, k + 1, out)
+        plus, minus = f(x + hp), f(x - hp)
+        named = isinstance(plus, dict)
+        if not named:
+            plus, minus = {None: plus}, {None: minus}
+        for name, p in plus.items():
+            p = np.asarray(p)
+            denom = (2.0 * step).reshape(step.shape + (1,) * (p.ndim - nbatch))
+            diffs.setdefault(name, []).append((p - minus[name]) / denom)
+    out = {name: np.stack(d, axis=nbatch) for name, d in diffs.items()}
+    return out if named else out[None]
+
+
+def fd_exterior_derivative(field, x: np.ndarray, h=None) -> KForm:
+    """Central-difference exterior derivative of a k-form field at x:
+    d a = sum_i dx_i ^ d_i a, the partials contracted with the wedge table."""
+    x = np.asarray(x, float)
+    degree = []
+
+    def coeffs(y):
+        form = field(y)
+        degree.append(form.degree)
+        return form.coeffs
+
+    partials = central_differences(coeffs, x, h)
+    dim, k = x.shape[-1], degree[0]
+    return KForm(dim, k + 1, np.einsum("...iI,iIK->...K", partials,
+                                       mi.wedge_tensor(dim, 1, k)))
 
 
 def christoffel(g_field, x: np.ndarray, h=None) -> np.ndarray:
     """Gamma[..., k, i, j] = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-    x = np.asarray(x, float)
-    dim = x.shape[-1]
-    step = local_step(x, h)
-    dg = np.empty(x.shape[:-1] + (dim, dim, dim))
-    for i in range(dim):
-        hp = step[..., None] * _basis(dim, i)
-        dg[..., i, :, :] = ((g_field(x + hp).components
-                             - g_field(x - hp).components)
-                            / (2.0 * step[..., None, None]))
+    dg = central_differences(lambda y: g_field(y).components, x, h)
     sym = (np.einsum("...ijl->...lij", dg)
            + np.einsum("...jil->...lij", dg)
            - dg)
@@ -115,9 +127,6 @@ def covariant_derivative(T_field, g_field, x: np.ndarray, h=None) -> np.ndarray:
     (nabla T)[..., i, a1..aq] = d_i T_{a1..aq} - sum_s Gamma^m_{i a_s} T_{..m..}.
     """
     x = np.asarray(x, float)
-    dim = x.shape[-1]
-    nbatch = x.ndim - 1
-    step = local_step(x, h)
 
     def tensor_of(y):
         val = T_field(y)
@@ -128,17 +137,10 @@ def covariant_derivative(T_field, g_field, x: np.ndarray, h=None) -> np.ndarray:
         return np.asarray(val)
 
     base = tensor_of(x)
-    q = base.ndim - nbatch
+    q = base.ndim - (x.ndim - 1)
     if q > len(_SLOT_LETTERS):
         raise ConfigInvalid("tensor order %d not supported" % q)
-    denom = (2.0 * step).reshape(step.shape + (1,) * q)
-    derivs = [
-        (tensor_of(x + step[..., None] * _basis(dim, i))
-         - tensor_of(x - step[..., None] * _basis(dim, i))) / denom
-        for i in range(dim)
-    ]
-    out = np.stack(derivs, axis=nbatch).astype(
-        np.result_type(base.dtype, float), copy=False)
+    out = central_differences(tensor_of, x, h)
     gam = christoffel(g_field, x, h)
     letters = _SLOT_LETTERS[:q]
     for s in range(q):
@@ -163,19 +165,13 @@ def riemann_ricci(g_field, x: np.ndarray, h=None, richardson: bool = True):
     levels.
     """
     x = np.asarray(x, float)
-    dim = x.shape[-1]
     base_step = local_step(x, h)
 
     def riem_at(scale):
         st = base_step * scale
         gam = christoffel(g_field, x, st)
-        dgam = np.empty(x.shape[:-1] + (dim, dim, dim, dim))
-        for i in range(dim):
-            hp = st[..., None] * _basis(dim, i)
-            dgam[..., i, :, :, :] = (
-                (christoffel(g_field, x + hp, st)
-                 - christoffel(g_field, x - hp, st))
-                / (2.0 * st[..., None, None, None]))
+        dgam = central_differences(lambda y: christoffel(g_field, y, st),
+                                   x, st)
         quad = np.einsum("...lim,...mjk->...lkij", gam, gam)
         return (np.einsum("...iljk->...lkij", dgam)
                 - np.einsum("...jlik->...lkij", dgam)

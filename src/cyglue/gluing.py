@@ -27,21 +27,22 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import su3
-from .analysis import local_step, region_norms, riemann_ricci
+from .analysis import central_differences, region_norms, riemann_ricci
 from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
-                    calabi_ale_o3, quotient_cone_z3, t6_z3_orbifold_patch)
+                    SyntheticPerturbation, calabi_ale_o3, quotient_cone_z3,
+                    t6_z3_orbifold_patch)
 from .errors import ConfigInvalid, NotPositive, NotStable, RateOutOfRange
 from .forms import KForm, MetricTensor, lower_tensor_norm
 
 __all__ = [
-    "GluingConfig", "CorrectionForms", "GluedStructure", "NeckReport",
+    "GluingConfig", "GluedStructure", "NeckReport",
     "DefectRow", "DefectScan", "Thm52Verdict",
-    "cutoff_F", "cutoff_F_prime", "correction_forms", "build_glued",
+    "cutoff_F", "cutoff_F_prime", "build_glued",
     "nearly_cy_on_neck", "defect_scan", "thm52_check",
     "exponent_implication_check", "curvature_scaling_check",
     "SCAN_COLUMNS",
@@ -149,77 +150,6 @@ def cutoff_F_prime(s):
 
 
 # ---------------------------------------------------------------------------
-# correction forms
-
-@dataclass(frozen=True)
-class CorrectionForms:
-    """Primitives of the two holomorphic volume form defects.
-
-    A lives on the conical side (rate nu, vanishing toward the tip), B on
-    the AC side (rate lam, decaying outward). dA_terms(x, r=None) and
-    dB_terms(x) return the coefficients of the exact differential and of
-    its seam partner, the wedge dr ^ A (or dr ^ B) with the radial 1-form;
-    each pair shares one |x| (dA_terms takes r = |x| when given) and one
-    radial product. dA, dB, dr_A and dr_B read one of them as a form.
-    Unpacking yields (A, B).
-    """
-
-    A: Callable
-    B: Callable
-    dA_terms: Callable
-    dB_terms: Callable
-
-    def __iter__(self):
-        return iter((self.A, self.B))
-
-    def dA(self, x) -> KForm:
-        return KForm(6, 3, self.dA_terms(x)[0])
-
-    def dB(self, x) -> KForm:
-        return KForm(6, 3, self.dB_terms(x)[0])
-
-    def dr_A(self, x) -> KForm:
-        return KForm(6, 3, self.dA_terms(x)[1])
-
-    def dr_B(self, x) -> KForm:
-        return KForm(6, 3, self.dB_terms(x)[1])
-
-
-def _zero_two_form(x):
-    return KForm.zero(6, 2, np.asarray(x).shape[:-1], complex_=True)
-
-
-def _zero_terms(x, r=None):
-    zero = np.zeros(np.asarray(x).shape[:-1] + (20,), complex)
-    return zero, zero
-
-
-def correction_forms(config: GluingConfig, cone: ConeGeometry,
-                     ac: ACGeometry, perturbation=None) -> CorrectionForms:
-    """Assemble the correction primitives for a glued family.
-
-    The conical side contributes A with dA = (conical chart)^*(Omega_0) -
-    Omega_V, identically zero for the unperturbed flat patch. The AC side
-    contributes B with dB = (AC chart)^*(Omega_Y) - Omega_V; its rate must
-    lie below -3, the obstructed borderline case is refused.
-    """
-    if ac.rate >= -3.0:
-        raise RateOutOfRange(
-            f"AC rate {ac.rate} is not below -3; the glued volume form "
-            "defect would not decay")
-    if ac.modelled_cone.descriptor() != cone.descriptor():
-        raise ConfigInvalid("AC space is modelled on a different cone")
-    if perturbation is None:
-        A, dA_terms = _zero_two_form, _zero_terms
-    else:
-        if perturbation.nu != config.nu:
-            raise ConfigInvalid("perturbation rate disagrees with config")
-        A, dA_terms = perturbation.primitive_A, perturbation.correction_terms
-    return CorrectionForms(A=A, B=ac.correction_B, dA_terms=dA_terms,
-                           dB_terms=ac.correction_terms)
-
-
-# ---------------------------------------------------------------------------
 # glued structure
 
 @dataclass(frozen=True)
@@ -230,13 +160,14 @@ class GluedStructure:
     form at and outside the neck (Darboux-matched charts) and the scaled
     AC form in the resolved-side raw chart; the holomorphic volume form
     follows the single cutoff formula everywhere, hitting the pure conical
-    branch where F = 1 and the pure AC branch where F = 0.
+    branch where F = 1 and the pure AC branch where F = 0. perturbation
+    is None for the unperturbed conical side, whose A vanishes.
     """
 
     config: GluingConfig
     cone: ConeGeometry
     ac: ACGeometry
-    corrections: CorrectionForms
+    perturbation: Optional[SyntheticPerturbation]
 
     def _radii(self, x):
         x = np.asarray(x, float)
@@ -262,9 +193,12 @@ class GluedStructure:
         s = r * t ** (-alpha)
         F = cutoff_F(s)
         Fp = cutoff_F_prime(s)
-        dA, dr_A = self.corrections.dA_terms(x, r)
+        if self.perturbation is None:
+            dA = dr_A = 0.0
+        else:
+            dA, dr_A = self.perturbation.correction_terms(x, r)
         # |x/t| is taken afresh, as Omega_p takes it, not rounded from r / t
-        dB, dr_B = self.corrections.dB_terms(x / t)
+        dB, dr_B = self.ac.correction_terms(x / t)
         out = (FLAT_OMEGA3.coeffs
                + F[..., None] * dA
                + (1.0 - F)[..., None] * dB)
@@ -277,13 +211,16 @@ class GluedStructure:
     def Omega_q(self, x) -> KForm:
         """Pure cone-side branch Omega_V + dA."""
         x, _ = self._radii(x)
-        return KForm(6, 3, FLAT_OMEGA3.coeffs + self.corrections.dA(x).coeffs)
+        if self.perturbation is None:
+            return KForm(6, 3, np.broadcast_to(FLAT_OMEGA3.coeffs,
+                                               x.shape[:-1] + (20,)))
+        return KForm(6, 3, FLAT_OMEGA3.coeffs + self.perturbation.dA(x).coeffs)
 
     def Omega_p(self, x) -> KForm:
         """Pure resolved-side branch Omega_V + dB_t."""
         x, _ = self._radii(x)
         return KForm(6, 3, FLAT_OMEGA3.coeffs
-                     + self.corrections.dB(x / self.config.t).coeffs)
+                     + self.ac.correction_dB(x / self.config.t).coeffs)
 
     def omega_t(self, x) -> KForm:
         x, r = self._radii(x)
@@ -309,9 +246,31 @@ class GluedStructure:
 
 def build_glued(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
                 perturbation=None) -> GluedStructure:
-    """Validate the pairing and wire up the glued evaluators."""
-    cf = correction_forms(config, cone, ac, perturbation)
-    return GluedStructure(config=config, cone=cone, ac=ac, corrections=cf)
+    """Validate the pairing and wire up the glued evaluators.
+
+    The conical side contributes the primitive A of perturbation, with
+    dA = (conical chart)^*(Omega_0) - Omega_V; without a perturbation A is
+    zero, as for the unperturbed flat patch. The AC side contributes B =
+    ac.correction_B with dB = (AC chart)^*(Omega_Y) - Omega_V. Each side's
+    correction_terms gives the coefficients of its exact differential and
+    of its seam partner dr ^ A (or dr ^ B), sharing one |x| and one radial
+    product.
+
+    Refused: an AC rate not below -3 (RateOutOfRange: the glued volume
+    form defect would not decay), an AC space modelled on a different
+    cone, and a perturbation whose rate disagrees with config.nu
+    (ConfigInvalid).
+    """
+    if ac.rate >= -3.0:
+        raise RateOutOfRange(
+            f"AC rate {ac.rate} is not below -3; the glued volume form "
+            "defect would not decay")
+    if ac.modelled_cone.descriptor() != cone.descriptor():
+        raise ConfigInvalid("AC space is modelled on a different cone")
+    if perturbation is not None and perturbation.nu != config.nu:
+        raise ConfigInvalid("perturbation rate disagrees with config")
+    return GluedStructure(config=config, cone=cone, ac=ac,
+                          perturbation=perturbation)
 
 
 def _standard_geometry(config: GluingConfig):
@@ -352,17 +311,15 @@ class NeckReport:
     within_eps0: bool
 
 
-def nearly_cy_on_neck(glued: GluedStructure, sample_set=None,
-                      eps0: float = 0.2) -> NeckReport:
-    """Run the pointwise structure recovery at neck samples and aggregate.
+def nearly_cy_on_neck(glued: GluedStructure, eps0: float = 0.2) -> NeckReport:
+    """Run the pointwise structure recovery at the neck sup grid and
+    aggregate.
 
     Raises NotStable or NotPositive with the offending sample attached
     when t is not small enough for the glued form to stay in the stable
     range.
     """
-    if sample_set is None:
-        sample_set = _sup_grid(glued.config)
-    x = np.asarray(sample_set, float)
+    x = _sup_grid(glued.config)
     om = glued.cone.fields_at(x).omega
     Om = glued.Omega_t(x)
     _, report = su3.recover_su3(om, Om, eps0=eps0)
@@ -482,21 +439,6 @@ def _curvature_sup(ac: ACGeometry, t: float, seed: int = 0) -> float:
     return float(np.max(lower_tensor_norm(g, low, 4)))
 
 
-def _central_differences(f, x) -> dict:
-    """d_i of each named array f returns, the derivative index after the
-    batch axis, by central differences with the per-sample step
-    local_step(x); f runs at one shift x +- h e_i at a time."""
-    step = local_step(x, None)
-    diffs = {}
-    for i in range(6):
-        hp = step[:, None] * np.eye(6)[i]
-        plus, minus = f(x + hp), f(x - hp)
-        for name, p in plus.items():
-            denom = (2.0 * step).reshape((-1,) + (1,) * (p.ndim - 1))
-            diffs.setdefault(name, []).append((p - minus[name]) / denom)
-    return {name: np.stack(d, axis=1) for name, d in diffs.items()}
-
-
 def _neck_fields(glued: GluedStructure, x) -> dict:
     """Every pointwise neck defect of a scan row at the nodes x.
 
@@ -526,7 +468,7 @@ def _neck_fields(glued: GluedStructure, x) -> dict:
         "Omega_defect": KForm(6, 3, Om - FLAT_OMEGA3.coeffs),
         "omega": KForm(6, 2, out["omega_prime"] - FLAT_OMEGA.coeffs),
         "im_Omega": KForm(6, 3, np.imag(Om) - out["theta2_prime"]),
-        **_central_differences(differentiated, x),
+        **central_differences(differentiated, x),
     }
 
 
@@ -536,7 +478,7 @@ def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
     norms = region_norms(lambda x: _neck_fields(glued, x), cone,
                          config.neck_bounds, config.n_radial, config.link_level)
     sup_pts = _sup_grid(config)
-    hess = _central_differences(
+    hess = central_differences(
         lambda y: {"hess": _neck_fields(glued, y)["grad_omega"]}, sup_pts)
     hess_c0 = float(np.max(np.sqrt(np.sum(hess["hess"] ** 2, axis=(1, 2, 3)))))
     return DefectRow(
@@ -558,13 +500,12 @@ def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
 
 
 def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
-                geometry=None, workers: int = 1) -> DefectScan:
-    """One DefectRow per t, largest t first.
+                workers: int = 1) -> DefectScan:
+    """One DefectRow per t, largest t first, on the standard geometry.
 
     Needs at least 4 values spanning at least 2 octaves, each admissible
-    for the template. geometry optionally overrides the standard
-    (cone, ac, perturbation) triple; rows are computed independently
-    (optionally in a thread pool) and assembled in deterministic order.
+    for the template. Rows are computed independently (optionally in a
+    thread pool) and assembled in deterministic order.
     """
     ts = sorted({float(t) for t in t_list}, reverse=True)
     if len(ts) < 4:
@@ -572,10 +513,7 @@ def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
     if ts[0] / ts[-1] < 4.0:
         raise ConfigInvalid("scan must span at least 2 octaves in t")
     configs = [replace(config_template, t=t) for t in ts]
-    if geometry is None:
-        cone, ac, pert = _standard_geometry(config_template)
-    else:
-        cone, ac, pert = geometry
+    cone, ac, pert = _standard_geometry(config_template)
 
     def job(cfg):
         return _scan_row(cfg, cone, ac, pert)

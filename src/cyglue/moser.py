@@ -33,6 +33,14 @@ __all__ = [
 _DEGENERACY_RATIO = 1e-6
 # Relative mismatch below which eta(s x) = s^rate eta(x) counts as exact.
 _HOMOGENEITY_RTOL = 1e-12
+# Largest finite-difference |d eta| at the check points of closed data.
+_FD_TOL = 1e-6
+# Absolute tolerance of the quadrature path of radial_primitive.
+_QUAD_TOL = 1e-12
+# Trajectory offset of the central-difference chart Jacobian.
+_JAC_H = 1e-5
+# Radial halvings of the sample domain before DomainEscape.
+_MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,7 @@ def _is_homogeneous(eta_field, pts: np.ndarray, probe: KForm,
 
 def radial_primitive(eta_field, direction: str, decay_rate: float,
                      check_points: Optional[np.ndarray] = None,
-                     fd_tol: float = 1e-6, fd_h=None,
-                     quad_tol: float = 1e-12) -> RadialPrimitive:
+                     fd_h=None) -> RadialPrimitive:
     """Primitive of a closed form field by integrating contractions along
     rays: sigma(x) = int_0^1 u^(k-1) [iota_x eta](u x) du, or minus the
     same integral over [1, inf) for data decaying from infinity.
@@ -166,11 +173,12 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     of the asymptotically conical statement. Rates in [-2, 0) are refused,
     there is no convergent variant to integrate.
 
-    Closedness and homogeneity are probed at the check points. Data whose
-    coefficients are homogeneous of degree decay_rate there take the exact
-    path sigma(x) = iota_x eta(x) / (k + decay_rate), the value of either
+    Closedness (|d eta| up to 1e-6 by finite differences of step fd_h) and
+    homogeneity are probed at the check points. Data whose coefficients
+    are homogeneous of degree decay_rate there take the exact path
+    sigma(x) = iota_x eta(x) / (k + decay_rate), the value of either
     integral; any other closed data are integrated by adaptive quadrature
-    to quad_tol.
+    to an absolute 1e-12.
     """
     if direction not in ("from_zero", "from_infinity"):
         raise ConfigInvalid(f"unknown direction {direction!r}")
@@ -188,8 +196,8 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
                 f"got {decay_rate}")
     d_eta = fd_exterior_derivative(eta_field, pts, fd_h)
     resid = float(np.max(np.abs(d_eta.coeffs)))
-    if resid > fd_tol:
-        raise NotClosed(f"|d eta| = {resid:.3e} exceeds {fd_tol:.1e}")
+    if resid > _FD_TOL:
+        raise NotClosed(f"|d eta| = {resid:.3e} exceeds {_FD_TOL:.1e}")
 
     exact = _is_homogeneous(eta_field, pts, probe, decay_rate)
 
@@ -203,10 +211,10 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
 
         if direction == "from_zero":
             val, _ = quad_vec(integrand, 0.0, 1.0,
-                              epsabs=quad_tol, epsrel=1e-12)
+                              epsabs=_QUAD_TOL, epsrel=1e-12)
         else:
             val, _ = quad_vec(integrand, 1.0, np.inf,
-                              epsabs=quad_tol, epsrel=1e-12)
+                              epsabs=_QUAD_TOL, epsrel=1e-12)
             val = -val
         return KForm(6, k - 1, val)
 
@@ -262,40 +270,39 @@ def _sample_grid(r_lo, r_hi, n_dirs, n_radii, seed):
 
 def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
                     steps: int = 64, n_dirs: int = 8, n_radii: int = 4,
-                    seed: int = 0, direction: str = "from_zero",
-                    jac_h: float = 1e-5, max_halvings: int = 8,
-                    fd_tol: float = 1e-6, fd_h=None,
-                    quad_tol: float = 1e-12) -> MoserResult:
+                    seed: int = 0, fd_h=None) -> MoserResult:
     """Integrate the Moser flow of omega_t = omega_V + t eta from t=0 to 1
     and report the pullback residual sup |psi_1^*(omega_V + eta) - omega_V|.
 
-    The flow runs on a seeded grid of directions times Gauss radii inside
-    r_bounds, all trajectories advanced together by the classical
-    fourth-order scheme with fixed steps. Jacobians of the chart come from
-    central differences of neighbouring trajectories. A trajectory leaving
-    the chart annulus triggers a retry on a radially shrunk grid, at most
-    max_halvings times, after which DomainEscape propagates.
+    eta is conical data of positive rate decay_rate, its primitive taken
+    from the tip (radial_primitive's from_zero). The flow runs on a seeded
+    grid of directions times Gauss radii inside r_bounds, all trajectories
+    advanced together by the classical fourth-order scheme with fixed
+    steps. The cone chart's Kaehler form omega_V is constant, so it is
+    built once per flow attempt. Jacobians of the chart come from central
+    differences of neighbouring trajectories, offset by 1e-5. A trajectory
+    leaving the chart annulus triggers a retry on a radially shrunk grid,
+    at most 8 times, after which DomainEscape propagates.
     """
     a, b = float(r_bounds[0]), float(r_bounds[1])
     if not (0.0 < a < b):
         raise ConfigInvalid("need 0 < r_min < r_max")
-    prim = radial_primitive(eta_field, direction, decay_rate,
+    prim = radial_primitive(eta_field, "from_zero", decay_rate,
                             check_points=_sample_grid(a, b, 4, 2, seed),
-                            fd_tol=fd_tol, fd_h=fd_h, quad_tol=quad_tol)
-
-    def omega_v(y):
-        return cone.fields_at(y).omega
-
-    def velocity(t, y):
-        # the exact primitive and omega_t read one value of eta per stage
-        eta = eta_field(y)
-        sigma = prim.from_value(y, eta) if prim.exact else prim(y)
-        return moser_vector_field(sigma, omega_v(y) + eta * t)
+                            fd_h=fd_h)
 
     lo_bound, hi_bound = 0.5 * a, b
 
     def flow(y0):
         y = np.array(y0, float)
+        omega_v = cone.fields_at(y).omega
+
+        def velocity(t, y):
+            # the exact primitive and omega_t read one value of eta per stage
+            eta = eta_field(y)
+            sigma = prim.from_value(y, eta) if prim.exact else prim(y)
+            return moser_vector_field(sigma, omega_v + eta * t)
+
         dt = 1.0 / steps
         for n in range(steps):
             t = n * dt
@@ -309,15 +316,15 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
                 return None
         return y
 
-    for halving in range(max_halvings + 1):
+    for halving in range(_MAX_HALVINGS + 1):
         b_cur = a + (b - a) * 0.5 ** halving
         pts = _sample_grid(a, b_cur, n_dirs, n_radii, seed)
         stencil = [pts]
         for i in range(6):
             e = np.zeros(6)
             e[i] = 1.0
-            stencil.append(pts + jac_h * e)
-            stencil.append(pts - jac_h * e)
+            stencil.append(pts + _JAC_H * e)
+            stencil.append(pts - _JAC_H * e)
         batch = np.concatenate(stencil, axis=0)
         out = flow(batch)
         if out is not None:
@@ -325,7 +332,7 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
     else:
         raise DomainEscape(
             f"trajectories kept leaving ({a}, {b}) after "
-            f"{max_halvings} domain halvings")
+            f"{_MAX_HALVINGS} domain halvings")
 
     n = len(pts)
     images = out[:n]
@@ -333,10 +340,10 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
     for i in range(6):
         plus = out[(1 + 2 * i) * n:(2 + 2 * i) * n]
         minus = out[(2 + 2 * i) * n:(3 + 2 * i) * n]
-        jac[:, :, i] = (plus - minus) / (2.0 * jac_h)
-    omega_end = omega_v(images) + eta_field(images)
-    pulled = pullback(LinearMap(jac), omega_end)
+        jac[:, :, i] = (plus - minus) / (2.0 * _JAC_H)
+    # omega_V is the same form at the images as at the points
     base = cone.fields_at(pts)
+    pulled = pullback(LinearMap(jac), base.omega + eta_field(images))
     resid = float(np.max(form_norm(base.g, pulled - base.omega)))
     return MoserResult(points=pts, images=images, pullback_residual=resid,
                        shrunk_domain=(a, b_cur), steps=steps,

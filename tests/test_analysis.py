@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyglue import _multiindex as mi
 from cyglue import analysis as an
 from cyglue import cones as cn
 from cyglue.errors import ConfigInvalid
@@ -34,6 +35,121 @@ class TestLocalStep:
     def test_explicit_override_broadcasts(self):
         x = np.zeros((4, 6))
         assert np.allclose(an.local_step(x, 1e-2), 1e-2)
+
+
+def outer_field(y):
+    """A (..., 3, 3) array field, nonlinear in every coordinate."""
+    return np.einsum("...i,...j->...ij", np.sin(y[..., :3]),
+                     np.exp(0.5 * y[..., 3:]))
+
+
+class TestCentralDifferences:
+    """central_differences against the stencil each operator used to carry
+    inline: one shift x +- step e_i at a time, the quotient divided by
+    twice the step broadcast over the value axes."""
+
+    def test_array_output_matches_inline_stencil(self):
+        x = 1.3 * unit_dirs(5, seed=6)
+        step = an.local_step(x, None)
+        want = np.empty((5, 6, 3, 3))
+        for i in range(6):
+            hp = step[..., None] * np.eye(6)[i]
+            want[..., i, :, :] = ((outer_field(x + hp) - outer_field(x - hp))
+                                  / (2.0 * step[..., None, None]))
+        got = an.central_differences(outer_field, x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_dict_output_matches_inline_stencil(self):
+        def named(y):
+            return {"outer": outer_field(y),
+                    "scalar": np.cos(y[:, 0] * y[:, 5]),
+                    "complex": np.exp(1j * y[:, :4])}
+
+        x = 0.4 * unit_dirs(7, seed=7)
+        step = an.local_step(x, None)
+        diffs = {}
+        for i in range(6):
+            hp = step[:, None] * np.eye(6)[i]
+            plus, minus = named(x + hp), named(x - hp)
+            for name, p in plus.items():
+                denom = (2.0 * step).reshape((-1,) + (1,) * (p.ndim - 1))
+                diffs.setdefault(name, []).append((p - minus[name]) / denom)
+        got = an.central_differences(named, x)
+        assert set(got) == set(diffs)
+        for name, d in diffs.items():
+            want = np.stack(d, axis=1)
+            assert got[name].shape == want.shape
+            assert np.array_equal(got[name], want)
+
+    def test_two_dimensional_batch(self):
+        x = (0.8 * unit_dirs(12, seed=8)).reshape(3, 4, 6)
+        step = an.local_step(x, None)
+        denom = (2.0 * step).reshape(step.shape + (1, 1))
+        want = np.stack(
+            [(outer_field(x + step[..., None] * np.eye(6)[i])
+              - outer_field(x - step[..., None] * np.eye(6)[i])) / denom
+             for i in range(6)], axis=2)
+        got = an.central_differences(outer_field, x)
+        assert got.shape == (3, 4, 6, 3, 3)
+        assert np.array_equal(got, want)
+
+    def test_explicit_step(self):
+        x = 2.0 * unit_dirs(4, seed=9)
+        for h in (1e-4, np.array([1e-3, 2e-3, 5e-4, 1e-2])):
+            st = an.local_step(x, h)
+            want = np.empty((4, 6, 3, 3))
+            for i in range(6):
+                hp = st[..., None] * np.eye(6)[i]
+                want[..., i, :, :] = (
+                    (outer_field(x + hp) - outer_field(x - hp))
+                    / (2.0 * st[..., None, None]))
+            assert np.array_equal(an.central_differences(outer_field, x, h),
+                                  want)
+
+    def test_dimension_two(self):
+        pts = np.array([[0.7, 0.3], [2.0, 1.1], [5.0, -0.4]])
+        step = an.local_step(pts, None)
+        want = np.empty((3, 2, 2, 2))
+        for i in range(2):
+            hp = step[..., None] * np.eye(2)[i]
+            want[..., i, :, :] = ((polar_metric(pts + hp).components
+                                   - polar_metric(pts - hp).components)
+                                  / (2.0 * step[..., None, None]))
+        got = an.central_differences(lambda y: polar_metric(y).components,
+                                     pts)
+        assert np.array_equal(got, want)
+        # d_r g_tt = 2r is exact for a quadratic
+        assert np.allclose(got[:, 0, 1, 1], 2.0 * pts[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_exterior_derivative_matches_double_loop(self, k):
+        rng = np.random.default_rng(k)
+        n = mi.ncomp(6, k)
+        A, B = rng.standard_normal((2, n, 6))
+
+        def field(y):
+            return KForm(6, k, np.sin(y @ A.T) + 1j * np.cos(y @ B.T) * k)
+
+        x = 0.9 * unit_dirs(8, seed=10 + k)
+        # the exterior derivative as a double loop over index sets
+        step = an.local_step(x, None)
+        probe = field(x)
+        partials = [(field(x + step[..., None] * np.eye(6)[i]).coeffs
+                     - field(x - step[..., None] * np.eye(6)[i]).coeffs)
+                    / (2.0 * step[..., None]) for i in range(6)]
+        rank_k = mi.index_rank(6, k)
+        want = np.zeros((8, mi.ncomp(6, k + 1)), dtype=probe.coeffs.dtype)
+        for pos, J in enumerate(mi.index_sets(6, k + 1)):
+            acc = 0.0
+            for p, i in enumerate(J):
+                rest = J[:p] + J[p + 1:]
+                acc = acc + (-1.0) ** p * partials[i][..., rank_k[rest]]
+            want[..., pos] = acc
+        got = an.fd_exterior_derivative(field, x)
+        assert got.degree == k + 1 and got.coeffs.shape == want.shape
+        assert np.max(np.abs(got.coeffs - want)) \
+            <= 1e-15 * np.max(np.abs(want))
 
 
 class TestChristoffel:

@@ -101,18 +101,20 @@ class TestCorrectionForms:
     def test_unperturbed_conical_side_is_zero(self, geometry):
         cone, ac, _ = geometry
         cfg = gl.GluingConfig(t=0.1, conical_amplitude=0.0)
-        cf = gl.correction_forms(cfg, cone, ac)
+        glued = gl.build_glued(cfg, cone, ac)
         x = 0.3 * unit_dirs(5)
-        assert not np.any(cf.A(x).coeffs)
-        assert not np.any(cf.dA(x).coeffs)
-        A, B = cf
-        assert A is cf.A and B is cf.B
+        # no primitive A, so no dA: the cone-side branch is Omega_V itself
+        assert glued.perturbation is None
+        assert not np.any(glued.Omega_q(x).coeffs - cn.FLAT_OMEGA3.coeffs)
+        assert not np.any(glued.Omega_t(0.5 * unit_dirs(5)).coeffs
+                          - cn.FLAT_OMEGA3.coeffs)
+        assert glued.ac is ac
 
     def test_refuses_slow_ac_rate(self, geometry):
         cone, ac, _ = geometry
         slow = dataclasses.replace(ac, rate=-3.0)
         with pytest.raises(RateOutOfRange):
-            gl.correction_forms(gl.GluingConfig(t=0.1), cone, slow)
+            gl.build_glued(gl.GluingConfig(t=0.1), cone, slow)
 
     def test_refuses_mismatched_cone(self, geometry):
         _, ac, _ = geometry
@@ -124,7 +126,7 @@ class TestCorrectionForms:
         pert = cn.t6_z3_orbifold_patch(0).synthetic_perturbation(
             3.0, 0.003, seed=0)
         with pytest.raises(ConfigInvalid):
-            gl.correction_forms(gl.GluingConfig(t=0.1), cone, ac, pert)
+            gl.build_glued(gl.GluingConfig(t=0.1), cone, ac, pert)
 
     def test_conical_primitive_grows_at_rate_nu_plus_one(self, geometry):
         cone, _, pert = geometry
@@ -173,16 +175,16 @@ class TestGluedStructure:
         g = glued.cone.fields_at(pts).g
         assert np.max(form_norm(g, dOm)) < 1e-6
 
-    def test_seam_term_present_only_in_transition(self, glued):
+    def test_seam_term_present_only_in_transition(self, glued, geometry):
         lo, hi = glued.config.neck_bounds
         mid = 0.5 * (lo + hi) * unit_dirs(4, seed=3)
-        cf = glued.corrections
+        _, ac, pert = geometry
         t, alpha = glued.config.t, glued.config.alpha
         r = np.linalg.norm(mid, axis=-1)
         F = gl.cutoff_F(r * t ** (-alpha))
         plain = (glued.cone.fields_at(mid).Omega.coeffs
-                 + F[..., None] * cf.dA(mid).coeffs
-                 + (1 - F)[..., None] * cf.dB(mid / t).coeffs)
+                 + F[..., None] * pert.dA(mid).coeffs
+                 + (1 - F)[..., None] * ac.correction_dB(mid / t).coeffs)
         assert np.any(glued.Omega_t(mid).coeffs != plain)
 
     def _across_chart(self, glued, seed):
@@ -195,7 +197,7 @@ class TestGluedStructure:
                                 rng.uniform(hi, 0.9, 8)])
         return radii[:, None] * unit_dirs(32, seed=seed)
 
-    def test_closed_form_assembly_matches_generic(self, glued):
+    def test_closed_form_assembly_matches_generic(self, glued, geometry):
         # Omega_V + F dA + (1 - F) dB(x/t) + F' t^-alpha dr ^ (A - t B(x/t)),
         # the seam wedged by the generic kernel
         x = self._across_chart(glued, 12)
@@ -203,18 +205,19 @@ class TestGluedStructure:
         t, alpha = glued.config.t, glued.config.alpha
         s = r * t ** (-alpha)
         F, Fp = gl.cutoff_F(s), gl.cutoff_F_prime(s)
-        cf = glued.corrections
+        _, ac, pert = geometry
         y = x / t
         seam = (Fp * t ** (-alpha))[:, None] * wedge(
-            KForm(6, 1, x / r[:, None]), cf.A(x) - cf.B(y) * t).coeffs
+            KForm(6, 1, x / r[:, None]),
+            pert.primitive_A(x) - ac.correction_B(y) * t).coeffs
         want = (glued.cone.fields_at(x).Omega.coeffs
-                + F[:, None] * cf.dA(x).coeffs
-                + (1 - F)[:, None] * cf.dB(y).coeffs + seam)
+                + F[:, None] * pert.dA(x).coeffs
+                + (1 - F)[:, None] * ac.correction_dB(y).coeffs + seam)
         got = glued.Omega_t(x).coeffs
         assert np.sum(Fp != 0.0) >= 8
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         got_seam = (Fp * t ** (-alpha))[:, None] * (
-            cf.dr_A(x).coeffs - t * cf.dr_B(y).coeffs)
+            pert.dr_wedge_A(x).coeffs - t * ac.dr_wedge_B(y).coeffs)
         assert np.max(np.abs(got_seam - seam)) \
             <= 1e-13 * np.max(np.abs(seam))
 

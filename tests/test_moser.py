@@ -428,6 +428,25 @@ class TestMoserIntegrate:
             # four RK4 stages per step, then omega_V + eta at the images
             assert len(calls) == n_probe + 4 * steps + 1
 
+    def test_cone_form_built_once_per_attempt(self, monkeypatch):
+        fields_at = cn.ConeGeometry.fields_at
+        calls = []
+
+        def counted(cone, y):
+            calls.append(len(y))
+            return fields_at(cone, y)
+        monkeypatch.setattr(cn.ConeGeometry, "fields_at", counted)
+        counts = {}
+        for steps in (4, 8, 16):
+            calls.clear()
+            res = mo.moser_integrate(self.cone, eta_weight(5.0, amp=0.3), 3.0,
+                                     (0.1, 0.6), steps=steps, n_dirs=2,
+                                     n_radii=2, fd_h=1e-4)
+            assert res.halvings == 0
+            counts[steps] = len(calls)
+        # omega_V of the whole batch, then omega_V and g at the points
+        assert counts == {4: 2, 8: 2, 16: 2}
+
     def test_suite_residuals_at_seed_0(self):
         report = cli.run(cli.RunConfig(command="moser", seed=0))
         want = {"8": 6.0682399247148e-08, "16": 4.0879318455077464e-09,
