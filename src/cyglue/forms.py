@@ -178,11 +178,6 @@ class MetricTensor:
     def sqrt_det(self):
         return np.sqrt(np.linalg.det(self.components))
 
-    def volume_form(self):
-        """Positively oriented unit-norm top form sqrt(det g) dx_0..dx_{n-1}."""
-        c = self.sqrt_det()[..., None]
-        return KForm(self.dim, self.dim, c)
-
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -205,10 +200,6 @@ class LinearMap:
 
     def __call__(self, v):
         return np.einsum("...ij,...j->...i", self.matrix, np.asarray(v))
-
-    def compose(self, other):
-        return LinearMap(np.einsum("...ij,...jk->...ik",
-                                   self.matrix, other.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,7 @@ __all__ = [
     "DefectRow", "DefectScan", "Thm52Verdict",
     "cutoff_F", "cutoff_F_prime", "build_glued",
     "nearly_cy_on_neck", "defect_scan", "thm52_check",
-    "exponent_implication_check", "curvature_scaling_check",
-    "SCAN_COLUMNS",
+    "exponent_implication_check", "SCAN_COLUMNS",
 ]
 
 
@@ -418,23 +417,20 @@ class DefectScan:
         return text
 
 
-def _curvature_sup(ac: ACGeometry, t: float, seed: int = 0) -> float:
-    """Sup of |Riem(g_t)| over resolved-side samples.
+def _curvature_sup(ac: ACGeometry, seed: int = 0) -> float:
+    """C1 = sup |Riem(g_Y)| over resolved-model samples y = r_y v, with
+    r_y in {1.3, 1.7} and 6 seeded unit directions v.
 
-    g_t is the t-scaled AC metric read through the shared chart, so the
-    samples sit at radii proportional to t and the FD steps scale along.
+    The glued metric on the resolved side is the homothety t^2 g_Y, so its
+    curvature sup at the samples x = t y is C1 / t^2.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((6, 6))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     r_y = np.array([1.3, 1.7])
-    pts = (t * r_y[:, None, None] * v[None, :, :]).reshape(-1, 6)
-
-    def g_field(x):
-        return ac.metric_on_target(np.asarray(x, float) / t)
-
-    riem, _ = riemann_ricci(g_field, pts)
-    g = g_field(pts)
+    pts = (r_y[:, None, None] * v[None, :, :]).reshape(-1, 6)
+    riem, _ = riemann_ricci(ac.metric_on_target, pts)
+    g = ac.metric_on_target(pts)
     low = np.einsum("...lm,...mkij->...lkij", g.components, riem)
     return float(np.max(lower_tensor_norm(g, low, 4)))
 
@@ -473,7 +469,7 @@ def _neck_fields(glued: GluedStructure, x) -> dict:
 
 
 def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
-              perturbation) -> DefectRow:
+              perturbation, curvature_c1: float) -> DefectRow:
     glued = build_glued(config, cone, ac, perturbation)
     norms = region_norms(lambda x: _neck_fields(glued, x), cone,
                          config.neck_bounds, config.n_radial, config.link_level)
@@ -495,7 +491,7 @@ def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
         grad_re_Omega_l12=norms["grad_re_Omega"].l12,
         hess_omega_c0=hess_c0,
         neck_volume=norms["Omega_defect"].volume,
-        curvature_sup=_curvature_sup(ac, config.t, seed=config.seed),
+        curvature_sup=curvature_c1 / config.t ** 2,
     )
 
 
@@ -504,8 +500,10 @@ def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
     """One DefectRow per t, largest t first, on the standard geometry.
 
     Needs at least 4 values spanning at least 2 octaves, each admissible
-    for the template. Rows are computed independently (optionally in a
-    thread pool) and assembled in deterministic order.
+    for the template. The resolved-side curvature C1 = sup |Riem(g_Y)| is
+    evaluated once, before any row; each row reports C1 / t^2. Rows are
+    computed independently (optionally in a thread pool) and assembled in
+    deterministic order.
     """
     ts = sorted({float(t) for t in t_list}, reverse=True)
     if len(ts) < 4:
@@ -514,9 +512,10 @@ def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
         raise ConfigInvalid("scan must span at least 2 octaves in t")
     configs = [replace(config_template, t=t) for t in ts]
     cone, ac, pert = _standard_geometry(config_template)
+    c1 = _curvature_sup(ac, seed=config_template.seed)
 
     def job(cfg):
-        return _scan_row(cfg, cone, ac, pert)
+        return _scan_row(cfg, cone, ac, pert, c1)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -524,16 +523,6 @@ def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
     else:
         rows = tuple(job(cfg) for cfg in configs)
     return DefectScan(rows=rows, config=config_template)
-
-
-def curvature_scaling_check(glued: GluedStructure,
-                            t_list: Sequence[float]) -> dict:
-    """Fit the t-exponent of the resolved-side curvature sup (target -2)."""
-    ts = sorted({float(t) for t in t_list}, reverse=True)
-    sups = np.array([_curvature_sup(glued.ac, t, seed=glued.config.seed)
-                     for t in ts])
-    slope = float(np.polyfit(np.log(ts), np.log(sups), 1)[0])
-    return {"t": ts, "sup": sups.tolist(), "exponent": slope}
 
 
 # ---------------------------------------------------------------------------

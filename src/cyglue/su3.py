@@ -33,6 +33,8 @@ __all__ = [
 
 _STABLE_RTOL = 1e-13
 _POS_RTOL = 1e-12
+# (-1)^i, the sign of row i of K
+_K_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,9 @@ def _k_endomorphism(coeffs: np.ndarray) -> np.ndarray:
     t1 = (coeffs @ C.transpose(1, 0, 2).reshape(20, 90)).reshape(lead + (6, 15))
     t2 = (coeffs @ W.transpose(1, 0, 2).reshape(20, 90)).reshape(lead + (15, 6))
     mu = t1 @ t2
-    rank5 = mi.index_rank(6, 5)
-    K = np.empty(coeffs.shape[:-1] + (6, 6), dtype=coeffs.dtype)
-    for i in range(6):
-        comp = tuple(j for j in range(6) if j != i)
-        sign = -1.0 if i % 2 else 1.0
-        K[..., i, :] = sign * mu[..., :, rank5[comp]]
-    return K
+    # the 5-form omitting index i sits at storage position 5 - i, so row i
+    # of K is (-1)^i times column 5 - i of mu
+    return np.swapaxes(mu[..., ::-1], -1, -2) * _K_SIGN[:, None]
 
 
 def stable_invariant(theta1: KForm) -> np.ndarray:

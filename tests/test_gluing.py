@@ -392,14 +392,28 @@ class TestDefectScan:
         monkeypatch.setattr(gl.GluedStructure, "Omega_t", counted_omega_t)
         monkeypatch.setattr(gl.su3, "_recover_batch", counted_recover)
         monkeypatch.setattr(an, "christoffel", counted_christoffel)
-        # the resolved-side curvature differentiates the curved AC metric,
-        # which is not a neck sample
-        monkeypatch.setattr(gl, "_curvature_sup", lambda *a, **k: 1.0)
-        gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry)
+        gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
         for name in ("Omega_t", "recover"):
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
         assert seen["christoffel"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("ts", [SCAN_TS, [0.4, 0.283, 0.2, 0.141, 0.1]],
+                             ids=["4rows", "5rows"])
+    def test_scan_evaluates_curvature_once(self, ts, workers, monkeypatch):
+        calls = []
+        riemann_ricci = gl.riemann_ricci
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return riemann_ricci(*args, **kwargs)
+
+        monkeypatch.setattr(gl, "riemann_ricci", counted)
+        scan = gl.defect_scan(gl.GluingConfig(t=0.1, **SMALL), ts,
+                              workers=workers)
+        assert len(scan.rows) == len(ts)
+        assert len(calls) == 1
 
 
 def _zero_scan():
@@ -456,8 +470,21 @@ class TestExponentLedger:
 
 
 class TestCurvatureScaling:
-    def test_resolved_curvature_follows_homothety(self, glued):
-        out = gl.curvature_scaling_check(glued, [0.4, 0.2, 0.1])
-        assert out["exponent"] == pytest.approx(-2.0, abs=1e-6)
-        assert out["sup"][-1] > out["sup"][0]
-        assert out["t"] == [0.4, 0.2, 0.1]
+    def test_scaled_sup_is_homothety_of_c1(self, geometry):
+        """The sup of |Riem| of the t-scaled AC metric, sampled at x = t y
+        with steps proportional to |x|, is C1 / t^2."""
+        ac = geometry[1]
+        c1 = gl._curvature_sup(ac)
+        v = unit_dirs(6)
+        for t in (0.4, 0.283, 0.2, 0.141, 0.1, 0.0125):
+            pts = (t * np.array([1.3, 1.7])[:, None, None]
+                   * v[None, :, :]).reshape(-1, 6)
+
+            def g_field(x, t=t):
+                return ac.metric_on_target(np.asarray(x, float) / t)
+
+            riem, _ = an.riemann_ricci(g_field, pts)
+            g = g_field(pts)
+            low = np.einsum("...lm,...mkij->...lkij", g.components, riem)
+            sup = float(np.max(forms.lower_tensor_norm(g, low, 4)))
+            assert sup == pytest.approx(c1 / t ** 2, rel=1e-9), t

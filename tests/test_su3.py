@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyglue import _multiindex as mi
 from cyglue import su3
 from cyglue.errors import NotPositive, NotStable
 from cyglue.forms import KForm, LinearMap, pullback, wedge
@@ -252,6 +253,23 @@ class TestRecoveryKernels:
              + np.moveaxis(U, [-3, -2, -1], [-2, -1, -3])) / 3.0
         want = -KForm.from_tensor(6, 3, U).coeffs
         assert np.array_equal(su3._theta2_tensor(J, self.theta), want)
+
+    def test_k_gather_matches_row_loop(self):
+        # K filled row by row from the 5-form that omits each index i,
+        # as _k_endomorphism did before its one signed gather
+        C = mi.contraction_tensor(6, 3)
+        W = mi.wedge_tensor(6, 2, 3)
+        t1 = (self.theta @ C.transpose(1, 0, 2).reshape(20, 90)).reshape(
+            32, 6, 15)
+        t2 = (self.theta @ W.transpose(1, 0, 2).reshape(20, 90)).reshape(
+            32, 15, 6)
+        mu = t1 @ t2
+        rank5 = mi.index_rank(6, 5)
+        want = np.empty((32, 6, 6))
+        for i in range(6):
+            comp = tuple(j for j in range(6) if j != i)
+            want[:, i, :] = (-1.0 if i % 2 else 1.0) * mu[:, :, rank5[comp]]
+        assert np.array_equal(su3._k_endomorphism(self.theta), want)
 
     def test_congruence_matches_omega_11(self):
         out = su3._recover_batch(self.omega, self.theta + 0j)
