@@ -20,13 +20,19 @@ print("alpha =", config.alpha, " kappa =", config.kappa,
       " gamma =", config.gamma)
 
 scan = defect_scan(config, [0.4, 0.25, 0.16, 0.1])
-
-print(f"\n{'column':>18}  {'fitted':>8}")
-for name, fit in scan.fitted_exponents().items():
-    if fit is not None:
-        print(f"{name:>18}  {fit[0]:8.3f}")
-
 verdict = thm52_check(scan, config)
+
+# the verdict fits the scan once; ledger columns also carry the rate the
+# theorem predicts (gamma + c alpha) and the one it needs (kappa + c)
+print(f"\n{'column':>18}  {'fitted':>8}  {'predicted':>9}  {'required':>8}")
+for name, fit in verdict.fits.items():
+    if fit is None:
+        continue
+    m = verdict.measured.get(name)
+    rates = "" if m is None else \
+        f"  {m['predicted']:9.3f}  {m['required']:8.3f}"
+    print(f"{name:>18}  {fit[0]:8.3f}{rates}")
+
 print("\nexact inequality ledger:",
       sum(verdict.exact.values()), "of", len(verdict.exact), "hold")
 print("measured rates dominate the required ones:",

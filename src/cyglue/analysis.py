@@ -27,6 +27,7 @@ __all__ = [
     "NormReport", "central_differences",
     "fd_exterior_derivative", "christoffel", "covariant_derivative",
     "riemann_ricci", "kahler_ricci", "region_norms", "local_step",
+    "unit_directions", "shell_grid",
 ]
 
 _SLOT_LETTERS = "abcdefgh"
@@ -58,6 +59,21 @@ def local_step(x: np.ndarray, h) -> np.ndarray:
         return np.broadcast_to(np.asarray(h, float), x.shape[:-1]).copy()
     r = np.linalg.norm(x, axis=-1)
     return 1e-3 * np.maximum(r, 1e-3)
+
+
+def unit_directions(n: int, seed: int) -> np.ndarray:
+    """n seeded unit vectors of R^6: normalised standard normal draws."""
+    v = np.random.default_rng(seed).standard_normal((n, 6))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def shell_grid(r_lo, r_hi, n_dirs: int, n_radii: int, seed: int) -> np.ndarray:
+    """unit_directions(n_dirs, seed) at each of the n_radii Gauss-Legendre
+    radii of (r_lo, r_hi), radius-major, as an (n_radii * n_dirs, 6) batch."""
+    v = unit_directions(n_dirs, seed)
+    t, _ = np.polynomial.legendre.leggauss(n_radii)
+    r = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
+    return (r[:, None, None] * v[None, :, :]).reshape(-1, 6)
 
 
 def _basis(dim: int, i: int) -> np.ndarray:

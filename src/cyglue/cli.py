@@ -127,12 +127,6 @@ def _check(checks: list, name: str, measured, predicted, tolerance):
                               float(tolerance), ok))
 
 
-def _unit_dirs(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, 6))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def _cone_from(config: RunConfig, default: str) -> cn.ConeGeometry:
     name = config.geometry or default
     if name not in GEOMETRIES:
@@ -208,7 +202,7 @@ def _run_cone_verify(config: RunConfig, report: RunReport):
 
 def _run_ale_verify(config: RunConfig, report: RunReport):
     ale = cn.calabi_ale_o3()
-    dirs = _unit_dirs(3, config.seed)
+    dirs = an.unit_directions(3, config.seed)
 
     def extended(x):
         return ale.log_det_h(x, extended=True)
@@ -282,26 +276,38 @@ def glue_scan_checks(scan: gl.DefectScan, template: gl.GluingConfig,
     """The glue-scan suite's checks on a finished scan.
 
     Returns the check records and the Theorem 5.2 verdict they read, so
-    a report can carry the verdict's constants without recomputing it.
+    a report can carry the verdict's fits and constants without
+    recomputing them.
     """
     verdict = gl.thm52_check(scan, template, fit_slack=fit_slack)
-    fits = scan.fitted_exponents()
-    gamma, alpha = float(verdict.gamma), float(verdict.alpha)
     checks = []
-    _check(checks, "c0_defect_exponent",
-           fits["Omega_defect_c0"][0], gamma, fit_slack)
-    _check(checks, "l2_defect_exponent",
-           fits["Omega_defect_l2"][0], gamma + 3 * alpha, fit_slack)
+    for name, column in (("c0_defect_exponent", "Omega_defect_c0"),
+                         ("l2_defect_exponent", "Omega_defect_l2")):
+        m = verdict.measured[column]
+        _check(checks, name, m["fitted"], m["predicted"], fit_slack)
     _check(checks, "curvature_exponent",
-           fits["curvature_sup"][0], -2.0, fit_slack)
+           verdict.fits["curvature_sup"][0], -2.0, fit_slack)
+    _ledger_checks(checks, verdict)
+    return checks, verdict
+
+
+def _ledger_checks(checks: list, verdict: gl.Thm52Verdict):
+    """The exact ledger, the measured rates (when a scan was fitted) and
+    the implication check of a Theorem 5.2 verdict."""
     _check(checks, "exact_ledger",
            float(all(verdict.exact.values())), 1.0, 0.0)
-    _check(checks, "measured_rates_dominate_ledger",
-           float(all(m["pass"] for m in verdict.measured.values())),
-           1.0, 0.0)
+    if verdict.measured:
+        _check(checks, "measured_rates_dominate_ledger",
+               float(all(m["pass"] for m in verdict.measured.values())),
+               1.0, 0.0)
     _check(checks, "l2_implies_remaining_inequalities",
            float(verdict.implication_pass), 1.0, 0.0)
-    return checks, verdict
+
+
+def _ledger_extras(verdict: gl.Thm52Verdict) -> dict:
+    return {"alpha": str(verdict.alpha), "kappa": str(verdict.kappa),
+            "gamma": str(verdict.gamma),
+            "ledger": {k: bool(v) for k, v in verdict.exact.items()}}
 
 
 def _run_glue_scan(config: RunConfig, report: RunReport):
@@ -314,17 +320,13 @@ def _run_glue_scan(config: RunConfig, report: RunReport):
 
     checks, verdict = glue_scan_checks(scan, template, config.fit_slack)
     report.checks.extend(checks)
-    fits = scan.fitted_exponents()
     report.fitted.update({name: None if f is None
                           else {"slope": f[0], "max_log_residual": f[1]}
-                          for name, f in fits.items()})
+                          for name, f in verdict.fits.items()})
     report.extras.update({
         "csv_path": str(csv_path),
         "rows": len(scan.rows),
-        "alpha": str(verdict.alpha),
-        "kappa": str(verdict.kappa),
-        "gamma": str(verdict.gamma),
-        "ledger": {k: bool(v) for k, v in verdict.exact.items()},
+        **_ledger_extras(verdict),
         # not measured: scaling a metric by t^2 scales geodesics by t
         "injectivity_radius": "t * delta(g_Y) by homothety; no numerical "
                               "geodesic search is performed",
@@ -340,15 +342,8 @@ def _run_thm52(config: RunConfig, report: RunReport):
            float(predicted_alpha), 1e-12)
     _check(report.checks, "kappa_positive", float(verdict.kappa > 0),
            1.0, 0.0)
-    _check(report.checks, "exact_ledger",
-           float(all(verdict.exact.values())), 1.0, 0.0)
-    _check(report.checks, "l2_implies_remaining_inequalities",
-           float(verdict.implication_pass), 1.0, 0.0)
-    report.extras.update({
-        "alpha": str(verdict.alpha), "kappa": str(verdict.kappa),
-        "gamma": str(verdict.gamma),
-        "ledger": {k: bool(v) for k, v in verdict.exact.items()},
-    })
+    _ledger_checks(report.checks, verdict)
+    report.extras.update(_ledger_extras(verdict))
 
 
 def list_geometries() -> list:

@@ -373,6 +373,17 @@ def hermitian_to_omega(H: np.ndarray) -> KForm:
     return KForm(6, 2, out)
 
 
+def _det3(H: np.ndarray) -> np.ndarray:
+    """Cofactor determinant of a batch of 3x3 matrices, in H's own dtype
+    (LAPACK has no extended-precision path)."""
+    return (H[..., 0, 0] * (H[..., 1, 1] * H[..., 2, 2]
+                            - H[..., 1, 2] * H[..., 2, 1])
+            - H[..., 0, 1] * (H[..., 1, 0] * H[..., 2, 2]
+                              - H[..., 1, 2] * H[..., 2, 0])
+            + H[..., 0, 2] * (H[..., 1, 0] * H[..., 2, 1]
+                              - H[..., 1, 1] * H[..., 2, 0]))
+
+
 def hermitian_to_metric(H: np.ndarray) -> MetricTensor:
     """Riemannian metric of a positive hermitian form, J-standard frame.
 
@@ -384,10 +395,7 @@ def hermitian_to_metric(H: np.ndarray) -> MetricTensor:
     H = np.asarray(H, complex)
     m1 = H[..., 0, 0].real
     m2 = (H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]).real
-    m3 = (H[..., 0, 0] * (H[..., 1, 1] * H[..., 2, 2] - H[..., 1, 2] * H[..., 2, 1])
-          - H[..., 0, 1] * (H[..., 1, 0] * H[..., 2, 2] - H[..., 1, 2] * H[..., 2, 0])
-          + H[..., 0, 2] * (H[..., 1, 0] * H[..., 2, 1] - H[..., 1, 1] * H[..., 2, 0])
-          ).real
+    m3 = _det3(H).real
     if min(np.min(m1), np.min(m2), np.min(m3)) <= 0:
         raise DegenerateMetric("hermitian form is not positive definite")
     P, Q = H.real, H.imag
@@ -419,19 +427,17 @@ class ACGeometry:
     modelled_cone: ConeGeometry
 
     # -- potential -----------------------------------------------------
-    def _u_prime(self, rho):
-        a6 = self.resolution_scale ** 6
-        return np.cbrt(1.0 + a6 / rho ** 3)
-
-    def _u_second(self, rho):
-        a6 = self.resolution_scale ** 6
-        return -a6 / (rho ** 4 * self._u_prime(rho) ** 2)
-
     def hermitian_at(self, x: np.ndarray) -> np.ndarray:
-        z = as_complex(x)
+        """Complex Hessian u' I + u'' zbar z^T of the potential at x, with
+        rho = |z|^2; np.longdouble samples give an np.clongdouble result,
+        any other real samples complex."""
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x.dtype, float), copy=False)
+        z = x[..., 0::2] + 1j * x[..., 1::2]
         rho = np.einsum("...k,...k->...", z, z.conj()).real
-        up = self._u_prime(rho)
-        us = self._u_second(rho)
+        a6 = rho.dtype.type(self.resolution_scale) ** 6
+        up = np.cbrt(1.0 + a6 / rho ** 3)
+        us = -a6 / (rho ** 4 * up ** 2)
         H = up[..., None, None] * np.eye(3)
         H = H + us[..., None, None] * np.einsum("...k,...l->...kl", z.conj(), z)
         return H
@@ -448,24 +454,10 @@ class ACGeometry:
         this field divide that noise by h^2, and the extra digits decide
         whether the Ricci check is measurable at small radii.
         """
-        if not extended:
-            H = self.hermitian_at(x)
-            return np.log(np.linalg.det(H).real)
-        x = np.asarray(x, np.longdouble)
-        z = x[..., 0::2] + np.clongdouble(1j) * x[..., 1::2]
-        rho = np.einsum("...k,...k->...", z, z.conj()).real
-        a6 = np.longdouble(self.resolution_scale) ** 6
-        up = np.cbrt(np.longdouble(1.0) + a6 / rho ** 3)
-        us = -a6 / (rho ** 4 * up ** 2)
-        H = up[..., None, None] * np.eye(3, dtype=np.clongdouble)
-        H = H + us[..., None, None] * np.einsum("...k,...l->...kl", z.conj(), z)
-        det = (H[..., 0, 0] * (H[..., 1, 1] * H[..., 2, 2]
-                               - H[..., 1, 2] * H[..., 2, 1])
-               - H[..., 0, 1] * (H[..., 1, 0] * H[..., 2, 2]
-                                 - H[..., 1, 2] * H[..., 2, 0])
-               + H[..., 0, 2] * (H[..., 1, 0] * H[..., 2, 1]
-                                 - H[..., 1, 1] * H[..., 2, 0]))
-        return np.log(det.real)
+        if extended:
+            return np.log(_det3(self.hermitian_at(
+                np.asarray(x, np.longdouble))).real)
+        return np.log(np.linalg.det(self.hermitian_at(x)).real)
 
     def metric_on_target(self, x: np.ndarray) -> MetricTensor:
         """g_Y alone; much cheaper than fields_on_target for derivative

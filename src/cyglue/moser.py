@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .analysis import fd_exterior_derivative
+from .analysis import fd_exterior_derivative, shell_grid, unit_directions
 from .errors import (ConfigInvalid, Degenerate, DomainEscape, NotClosed,
                      RateOutOfRange)
 from .forms import (KForm, LinearMap, contract, form_norm,
@@ -143,12 +143,6 @@ def split_form(eta_field, x: np.ndarray, h=None, tol: float = 1e-6) -> SplitForm
                      compatibility_residual=compat)
 
 
-def _default_check_points(seed: int = 0, n: int = 6, radius: float = 1.0):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, 6))
-    return radius * v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def _is_homogeneous(eta_field, pts: np.ndarray, probe: KForm,
                     rate: float) -> bool:
     """True when eta(s x) = s^rate eta(x) at pts for s in {1/2, 2}, to
@@ -182,7 +176,7 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     """
     if direction not in ("from_zero", "from_infinity"):
         raise ConfigInvalid(f"unknown direction {direction!r}")
-    pts = _default_check_points() if check_points is None else \
+    pts = unit_directions(6, 0) if check_points is None else \
         np.asarray(check_points, float)
     probe = eta_field(pts)
     k = probe.degree
@@ -259,15 +253,6 @@ def moser_vector_field(sigma: KForm, omega_t: KForm) -> np.ndarray:
     return X[..., 0]
 
 
-def _sample_grid(r_lo, r_hi, n_dirs, n_radii, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_dirs, 6))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    t, _ = np.polynomial.legendre.leggauss(n_radii)
-    r = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
-    return (r[:, None, None] * v[None, :, :]).reshape(-1, 6)
-
-
 def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
                     steps: int = 64, n_dirs: int = 8, n_radii: int = 4,
                     seed: int = 0, fd_h=None) -> MoserResult:
@@ -288,7 +273,7 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
     if not (0.0 < a < b):
         raise ConfigInvalid("need 0 < r_min < r_max")
     prim = radial_primitive(eta_field, "from_zero", decay_rate,
-                            check_points=_sample_grid(a, b, 4, 2, seed),
+                            check_points=shell_grid(a, b, 4, 2, seed),
                             fd_h=fd_h)
 
     lo_bound, hi_bound = 0.5 * a, b
@@ -318,7 +303,7 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
 
     for halving in range(_MAX_HALVINGS + 1):
         b_cur = a + (b - a) * 0.5 ** halving
-        pts = _sample_grid(a, b_cur, n_dirs, n_radii, seed)
+        pts = shell_grid(a, b_cur, n_dirs, n_radii, seed)
         stencil = [pts]
         for i in range(6):
             e = np.zeros(6)

@@ -37,6 +37,22 @@ class TestLocalStep:
         assert np.allclose(an.local_step(x, 1e-2), 1e-2)
 
 
+class TestSeededSamples:
+    @pytest.mark.parametrize("seed", [0, 7, 41])
+    @pytest.mark.parametrize("n_dirs", [4, 12])
+    def test_shell_grid_keeps_the_draw_order(self, seed, n_dirs):
+        # the body the neck sup grid and the Moser sample grid each had
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n_dirs, 6))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        nodes, _ = np.polynomial.legendre.leggauss(4)
+        r = 0.5 * (0.3 - 0.1) * nodes + 0.5 * (0.3 + 0.1)
+        want = (r[:, None, None] * v[None, :, :]).reshape(-1, 6)
+        got = an.shell_grid(0.1, 0.3, n_dirs, 4, seed)
+        assert got.tobytes() == want.tobytes()
+        assert an.unit_directions(n_dirs, seed).tobytes() == v.tobytes()
+
+
 def outer_field(y):
     """A (..., 3, 3) array field, nonlinear in every coordinate."""
     return np.einsum("...i,...j->...ij", np.sin(y[..., :3]),

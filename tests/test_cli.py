@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyglue import cli
+from cyglue import gluing as gl
 from cyglue.errors import ConfigInvalid
 
 SMALL_SCAN = {
@@ -170,6 +171,19 @@ class TestFastSuites:
         assert report["extras"]["kappa"] == "6/7"
 
 
+    def test_thm52_misplaced_neck_fails_only_l2_conical(self, tmp_path):
+        # kappa's conical term nu/2 is the L2 slack only at the default
+        # alpha, so alpha = 0.7 keeps kappa = 9/10 and breaks l2_conical
+        assert cli.main(["thm52", "--alpha", "0.7", "--out",
+                         str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["extras"]["kappa"] == "9/10"
+        ledger = report["extras"]["ledger"]
+        assert [k for k, ok in ledger.items() if not ok] == ["l2_conical"]
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == \
+            {"alpha", "exact_ledger"}
+
+
 class TestListGeometries:
     def test_catalogue(self, capsys, tmp_path):
         assert cli.main(["list-geometries", "--out", str(tmp_path)]) == 0
@@ -228,6 +242,20 @@ class TestGlueScan:
         assert not report["overall_pass"]
         assert len(report["checks"]) == 6
         assert (tmp_path / "scan.csv").exists()
+
+    def test_scan_is_fitted_once(self, tmp_path, monkeypatch):
+        calls = []
+        fitted = gl.DefectScan.fitted_exponents
+
+        def counted(self):
+            calls.append(1)
+            return fitted(self)
+
+        monkeypatch.setattr(gl.DefectScan, "fitted_exponents", counted)
+        report = cli.run(cli.load_config(None, {**SMALL_SCAN,
+                                                "out": str(tmp_path)}))
+        assert report.overall_pass
+        assert len(calls) == 1
 
     def test_short_t_list_is_config_error(self, tmp_path):
         code = cli.main(["glue-scan", "--t-list", "0.4,0.3",

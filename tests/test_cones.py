@@ -183,6 +183,34 @@ class TestCalabiALE:
         assert noise_e < 1e-12
         assert noise_e < noise_d
 
+    def test_log_det_extended_matches_longdouble_pipeline(self):
+        # the extended path as it was written out before it shared
+        # hermitian_at and the cofactor determinant
+        def reference(x):
+            x = np.asarray(x, np.longdouble)
+            z = x[..., 0::2] + np.clongdouble(1j) * x[..., 1::2]
+            rho = np.einsum("...k,...k->...", z, z.conj()).real
+            a6 = np.longdouble(self.ale.resolution_scale) ** 6
+            up = np.cbrt(np.longdouble(1.0) + a6 / rho ** 3)
+            us = -a6 / (rho ** 4 * up ** 2)
+            H = up[..., None, None] * np.eye(3, dtype=np.clongdouble)
+            H = H + us[..., None, None] * np.einsum("...k,...l->...kl",
+                                                    z.conj(), z)
+            det = (H[..., 0, 0] * (H[..., 1, 1] * H[..., 2, 2]
+                                   - H[..., 1, 2] * H[..., 2, 1])
+                   - H[..., 0, 1] * (H[..., 1, 0] * H[..., 2, 2]
+                                     - H[..., 1, 2] * H[..., 2, 0])
+                   + H[..., 0, 2] * (H[..., 1, 0] * H[..., 2, 1]
+                                     - H[..., 1, 1] * H[..., 2, 0]))
+            return np.log(det.real)
+
+        x = np.geomspace(0.05, 10.0, 25)[:, None, None] * self.dirs
+        got = self.ale.log_det_h(x, extended=True)
+        assert got.dtype == np.longdouble
+        # float128 carries padding bytes, so compare values, not bytes
+        assert np.array_equal(got, reference(x))
+        assert self.ale.hermitian_at(x).dtype == complex
+
     def test_darboux_pullback_matches_cone_kahler_form(self):
         cone = cn.flat_c3_cone()
         for r in (1.2, 2.0, 5.0):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -357,6 +358,13 @@ class TestDefectScan:
         assert fits["Omega_defect_l2"][0] > fits["Omega_defect_c0"][0] + 2.0
         assert fits["im_Omega_l2"][0] > fits["im_Omega_c0"][0] + 2.0
 
+    def test_scan_columns_are_the_row_fields_in_csv_order(self):
+        assert gl.SCAN_COLUMNS == (
+            "t", "Omega_defect_c0", "Omega_defect_l2", "omega_c0",
+            "omega_l2", "im_Omega_c0", "im_Omega_l2", "grad_omega_c0",
+            "grad_omega_l12", "grad_omega_t_l12", "grad_re_Omega_l12",
+            "hess_omega_c0", "neck_volume", "curvature_sup")
+
     def test_csv_round_trip_is_stable(self, small_scan, tmp_path):
         text = small_scan.to_csv()
         assert text.splitlines()[0] == ",".join(gl.SCAN_COLUMNS)
@@ -428,7 +436,64 @@ def _zero_scan():
     return gl.DefectScan(rows=rows, config=gl.GluingConfig(t=0.1))
 
 
+def _hand_written_ledger(nu, lam, alpha, kappa):
+    """The ten inequalities as they were written out by hand, the
+    reference for the family-table ledger."""
+    g1 = -lam * (1 - alpha)
+    g2 = alpha * nu
+    half = Fraction(1, 2)
+    return {
+        "c0_ac": g1 >= kappa,
+        "c0_conical": g2 >= kappa,
+        "l2_ac": 3 * alpha + g1 >= 3 + kappa,
+        "l2_conical": 3 * alpha + g2 >= 3 + kappa,
+        "l12_ac": -alpha * half + g1 >= -half + kappa,
+        "l12_conical": -alpha * half + g2 >= -half + kappa,
+        "grad_ac": g1 - alpha >= kappa - 1,
+        "grad_conical": g2 - alpha >= kappa - 1,
+        "hess_ac": g1 - 2 * alpha >= kappa - 2,
+        "hess_conical": g2 - 2 * alpha >= kappa - 2,
+    }
+
+
 class TestExponentLedger:
+    def test_family_table_matches_hand_written_ledger(self):
+        rng = random.Random(5)
+        outcomes = collections.defaultdict(set)
+        for _ in range(2000):
+            nu = Fraction(rng.randint(1, 120), rng.randint(1, 12))
+            lam = -3 - Fraction(rng.randint(1, 120), rng.randint(1, 12))
+            alpha = Fraction(rng.randint(1, 99), 100)
+            l2_slack = min(3 * alpha - lam * (1 - alpha) - 3,
+                           3 * alpha + alpha * nu - 3)
+            # the config's kappa differs from the L2 slack off the default
+            # alpha; the third draw is unrelated to the rates
+            config_kappa = min((1 - alpha) * (-3 - lam), nu / 2)
+            for kappa in (l2_slack, config_kappa,
+                          Fraction(rng.randint(-60, 60), rng.randint(1, 12))):
+                got = gl._ledger_inequalities(nu, lam, alpha, kappa)
+                want = _hand_written_ledger(nu, lam, alpha, kappa)
+                assert list(got.items()) == list(want.items())
+                for key, ok in got.items():
+                    outcomes[key].add(ok)
+        # every inequality both held and failed among the draws
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+    def test_predicted_rates_follow_family_offsets(self):
+        scan = _zero_scan()
+        v = gl.thm52_check(scan, gl.GluingConfig(t=0.1))
+        predicted = {"c0": Fraction(6, 5), "l2": Fraction(18, 5),
+                     "l12": Fraction(4, 5), "grad": Fraction(2, 5),
+                     "hess": Fraction(-2, 5)}
+        offsets = {"c0": 0, "l2": 3, "l12": Fraction(-1, 2), "grad": -1,
+                   "hess": -2}
+        for name, family in gl._MEASURED_REQUIREMENTS.items():
+            m = v.measured[name]
+            assert m["predicted"] == pytest.approx(float(predicted[family]),
+                                                   abs=1e-15), name
+            assert m["required"] == float(Fraction(3, 5) + offsets[family])
+        assert v.fits == scan.fitted_exponents()
+
     def test_exact_defaults(self):
         v = gl.thm52_check(None, gl.GluingConfig(t=0.1))
         assert v.alpha == Fraction(4, 5)

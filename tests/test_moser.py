@@ -5,6 +5,7 @@ import pytest
 
 import cyglue.cones as cn
 import cyglue.moser as mo
+from cyglue import analysis as an
 from cyglue import cli
 from cyglue.analysis import fd_exterior_derivative
 from cyglue.errors import (ConfigInvalid, Degenerate, DomainEscape, NotClosed,
@@ -417,7 +418,7 @@ class TestMoserIntegrate:
             return eta(y)
         # the probes of radial_primitive at moser_integrate's check points
         mo.radial_primitive(counted, "from_zero", 3.0, fd_h=1e-4,
-                            check_points=mo._sample_grid(0.1, 0.6, 4, 2, 0))
+                            check_points=an.shell_grid(0.1, 0.6, 4, 2, 0))
         n_probe = len(calls)
         for steps in (4, 8):
             calls.clear()
