@@ -6,11 +6,11 @@ the Riemann and Ricci tensors (optionally Richardson-extrapolated), the
 complex Hessian route to Ricci for Kaehler potentials, and C0/L2/L12
 norms over cone annuli with the measure r^5 dr dmu.
 
-Every first derivative is taken by one stencil, central_differences,
-with a step proportional to the distance from the cone tip; kahler_ricci
-takes its own second differences. Fields here are plain callables from
-sample points of shape (..., dim) to KForm, MetricTensor, or ndarray
-batches over the same leading axes.
+First derivatives are taken by one stencil, central_differences, and the
+curvatures' second derivatives by second_differences, both with a step
+proportional to the distance from the cone tip. Fields here are plain
+callables from sample points of shape (..., dim) to KForm, MetricTensor,
+or ndarray batches over the same leading axes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import ConfigInvalid
 from .forms import KForm, MetricTensor
 
 __all__ = [
-    "NormReport", "central_differences",
+    "NormReport", "central_differences", "second_differences",
     "fd_exterior_derivative", "christoffel", "covariant_derivative",
     "riemann_ricci", "kahler_ricci", "region_norms", "local_step",
     "unit_directions", "shell_grid",
@@ -76,12 +76,6 @@ def shell_grid(r_lo, r_hi, n_dirs: int, n_radii: int, seed: int) -> np.ndarray:
     return (r[:, None, None] * v[None, :, :]).reshape(-1, 6)
 
 
-def _basis(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
-
-
 def central_differences(f, x: np.ndarray, h=None):
     """Central-difference partials d_i f at x, with the step local_step(x, h).
 
@@ -94,8 +88,8 @@ def central_differences(f, x: np.ndarray, h=None):
     nbatch = x.ndim - 1
     step = local_step(x, h)
     diffs = {}
-    for i in range(dim):
-        hp = step[..., None] * _basis(dim, i)
+    for e in np.eye(dim):
+        hp = step[..., None] * e
         plus, minus = f(x + hp), f(x - hp)
         named = isinstance(plus, dict)
         if not named:
@@ -106,6 +100,32 @@ def central_differences(f, x: np.ndarray, h=None):
             diffs.setdefault(name, []).append((p - minus[name]) / denom)
     out = {name: np.stack(d, axis=nbatch) for name, d in diffs.items()}
     return out if named else out[None]
+
+
+def second_differences(f, x: np.ndarray, h=None) -> np.ndarray:
+    """Second partials d_i d_j f at x: central_differences applied twice at
+    the one step s = local_step(x, h), with f run once per distinct point.
+
+    f maps points (..., dim) to an array over the same batch axes; i and j
+    come right after them. The diagonal samples x +- 2 s e_i, the rest the
+    corners x +- s e_i +- s e_j, each quotient over 4 s^2.
+    """
+    x = np.asarray(x, float)
+    dim, nbatch = x.shape[-1], x.ndim - 1
+    step = local_step(x, h)
+    s, e = step[..., None], np.eye(dim)
+    center = np.asarray(f(x))
+    out = np.empty((dim, dim) + center.shape, np.result_type(center, step))
+    for i in range(dim):
+        out[i, i] = (f(x + 2.0 * s * e[i]) - 2.0 * center
+                     + f(x - 2.0 * s * e[i]))
+        for j in range(i + 1, dim):
+            out[i, j] = out[j, i] = (f(x + s * (e[i] + e[j]))
+                                     - f(x + s * (e[i] - e[j]))
+                                     - f(x - s * (e[i] - e[j]))
+                                     + f(x - s * (e[i] + e[j])))
+    denom = 4.0 * step.reshape(step.shape + (1,) * (center.ndim - nbatch)) ** 2
+    return np.moveaxis(out / denom, (0, 1), (nbatch, nbatch + 1))
 
 
 def fd_exterior_derivative(field, x: np.ndarray, h=None) -> KForm:
@@ -125,13 +145,19 @@ def fd_exterior_derivative(field, x: np.ndarray, h=None) -> KForm:
                                        mi.wedge_tensor(dim, 1, k)))
 
 
+def _lowered_christoffel(dg: np.ndarray) -> np.ndarray:
+    """Gamma_{l,ij} = (1/2) (d_i g_jl + d_j g_il - d_l g_ij) at [..., l, i, j]
+    from dg[..., i, a, b] = d_i g_ab; any axes before i pass through."""
+    return 0.5 * (np.einsum("...ijl->...lij", dg)
+                  + np.einsum("...jil->...lij", dg)
+                  - dg)
+
+
 def christoffel(g_field, x: np.ndarray, h=None) -> np.ndarray:
     """Gamma[..., k, i, j] = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
     dg = central_differences(lambda y: g_field(y).components, x, h)
-    sym = (np.einsum("...ijl->...lij", dg)
-           + np.einsum("...jil->...lij", dg)
-           - dg)
-    return 0.5 * np.einsum("...kl,...lij->...kij", g_field(x).inverse(), sym)
+    return np.einsum("...kl,...lij->...kij", g_field(x).inverse(),
+                     _lowered_christoffel(dg))
 
 
 def covariant_derivative(T_field, g_field, x: np.ndarray, h=None) -> np.ndarray:
@@ -167,7 +193,7 @@ def covariant_derivative(T_field, g_field, x: np.ndarray, h=None) -> np.ndarray:
 
 
 def riemann_ricci(g_field, x: np.ndarray, h=None, richardson: bool = True):
-    """Riemann and Ricci tensors by nested central differences.
+    """Riemann and Ricci tensors from central and second differences of g.
 
     Returns (R, ric) with R[..., l, k, i, j] = R^l_{kij}, the curvature of
     the Levi-Civita connection,
@@ -175,19 +201,26 @@ def riemann_ricci(g_field, x: np.ndarray, h=None, richardson: bool = True):
         R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
                     + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik},
 
-    and ric[..., k, j] = R^i_{kij}. With richardson=True the whole
-    computation runs at steps h and h/2 and combines as (4 F(h/2) - F(h))/3,
-    cancelling the leading O(h^2) truncation error of both difference
-    levels.
+    and ric[..., k, j] = R^i_{kij}, where
+    d_m Gamma^k_ij = g^kl (d_m Gamma_{l,ij} - d_m g_la Gamma^a_ij). With
+    richardson=True the whole computation runs at steps h and h/2 and
+    combines as (4 F(h/2) - F(h))/3, cancelling the leading O(h^2)
+    truncation error of both stencils.
     """
     x = np.asarray(x, float)
     base_step = local_step(x, h)
+    ginv = g_field(x).inverse()
+
+    def components(y):
+        return g_field(y).components
 
     def riem_at(scale):
         st = base_step * scale
-        gam = christoffel(g_field, x, st)
-        dgam = central_differences(lambda y: christoffel(g_field, y, st),
-                                   x, st)
+        dg = central_differences(components, x, st)
+        gam = np.einsum("...kl,...lij->...kij", ginv, _lowered_christoffel(dg))
+        d_low = (_lowered_christoffel(second_differences(components, x, st))
+                 - np.einsum("...mla,...aij->...mlij", dg, gam))
+        dgam = np.einsum("...kl,...mlij->...mkij", ginv, d_low)
         quad = np.einsum("...lim,...mjk->...lkij", gam, gam)
         return (np.einsum("...iljk->...lkij", dgam)
                 - np.einsum("...jlik->...lkij", dgam)
@@ -203,49 +236,23 @@ def riemann_ricci(g_field, x: np.ndarray, h=None, richardson: bool = True):
 def kahler_ricci(log_det_fn, x: np.ndarray, h=None) -> np.ndarray:
     """Ricci tensor -d_k d_lbar (log det h) of a Kaehler metric, from its
     potential's log-determinant field by a central-difference complex
-    Hessian, with z_j = x[2j] + i x[2j+1].
+    Hessian, with z_j = u_j + i v_j = x[2j] + i x[2j+1].
 
-    h may be a scalar or per-sample array; the default |x|/4 is tuned for
-    log-determinants that vanish identically, where truncation error is
-    zero and only evaluation noise survives division by h^2.
+    h, the second_differences step, may be a scalar or per-sample array;
+    the default |x|/4 is tuned for log-determinants that vanish
+    identically, where truncation error is zero and only evaluation noise
+    survives division by h^2.
     """
     x = np.asarray(x, float)
     if x.shape[-1] != 6:
         raise ConfigInvalid("kahler_ricci expects 6 real coordinates")
     if h is None:
-        hv = np.linalg.norm(x, axis=-1) / 4.0
-    else:
-        hv = np.broadcast_to(np.asarray(h, float), x.shape[:-1]).copy()
-    hp = hv[..., None]
-    center = np.asarray(log_det_fn(x), float)
-    cache = {}
-
-    def second(a, b):
-        key = (min(a, b), max(a, b))
-        if key in cache:
-            return cache[key]
-        ea, eb = _basis(6, key[0]), _basis(6, key[1])
-        if a == b:
-            val = (np.asarray(log_det_fn(x + hp * ea), float)
-                   - 2.0 * center
-                   + np.asarray(log_det_fn(x - hp * ea), float)) / hv ** 2
-        else:
-            val = (np.asarray(log_det_fn(x + hp * (ea + eb)), float)
-                   - np.asarray(log_det_fn(x + hp * (ea - eb)), float)
-                   - np.asarray(log_det_fn(x - hp * (ea - eb)), float)
-                   + np.asarray(log_det_fn(x - hp * (ea + eb)), float)
-                   ) / (4.0 * hv ** 2)
-        cache[key] = val
-        return val
-
-    out = np.empty(x.shape[:-1] + (3, 3), complex)
-    for k in range(3):
-        for l in range(3):
-            uk, vk, ul, vl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
-            re = 0.25 * (second(uk, ul) + second(vk, vl))
-            im = 0.25 * (second(uk, vl) - second(vk, ul))
-            out[..., k, l] = re + 1j * im
-    return -out
+        h = np.linalg.norm(x, axis=-1) / 4.0
+    hess = second_differences(lambda y: np.asarray(log_det_fn(y), float),
+                              x, h)
+    uu, uv = hess[..., 0::2, 0::2], hess[..., 0::2, 1::2]
+    vu, vv = hess[..., 1::2, 0::2], hess[..., 1::2, 1::2]
+    return -0.25 * (uu + vv + 1j * (uv - vu))
 
 
 def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,

@@ -337,7 +337,9 @@ def _run_thm52(config: RunConfig, report: RunReport):
     template = _glue_config(config)
     verdict = gl.thm52_check(None, template, fit_slack=config.fit_slack)
     nu = Fraction(template.nu).limit_denominator(10 ** 9)
-    predicted_alpha = (6 + nu) / (2 * (3 + nu))
+    # the ledger must run at the neck exponent asked for, else the default
+    predicted_alpha = (config.alpha if config.alpha is not None
+                       else (6 + nu) / (2 * (3 + nu)))
     _check(report.checks, "alpha", float(verdict.alpha),
            float(predicted_alpha), 1e-12)
     _check(report.checks, "kappa_positive", float(verdict.kappa > 0),

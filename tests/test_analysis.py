@@ -168,6 +168,59 @@ class TestCentralDifferences:
             <= 1e-15 * np.max(np.abs(want))
 
 
+class TestSecondDifferences:
+    """second_differences against central_differences nested at one step."""
+
+    def test_matches_nested_central_differences_on_ac_metric(self):
+        ale = cn.calabi_ale_o3()
+        x = 1.3 * unit_dirs(6, seed=20)
+        step = an.local_step(x, None)
+
+        def comps(y):
+            return ale.metric_on_target(y).components
+
+        want = an.central_differences(
+            lambda y: an.central_differences(comps, y, step), x, step)
+        got = an.second_differences(comps, x)
+        assert got.shape == want.shape == (6, 6, 6, 6, 6)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_quadratic_is_exact(self):
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((6, 6))
+        A = A + A.T
+        b = rng.standard_normal(6)
+        x = 0.9 * unit_dirs(4, seed=22)
+        got = an.second_differences(
+            lambda y: 0.5 * np.einsum("...i,ij,...j->...", y, A, y) + y @ b,
+            x)
+        assert got.shape == (4, 6, 6)
+        # only rounding survives: about eps |f| / step^2, step ~ 1e-3
+        assert np.max(np.abs(got - A)) < 1e-9 * np.max(np.abs(A))
+
+    def test_scalar_and_per_sample_steps(self):
+        x = 2.0 * unit_dirs(4, seed=23)
+        for h in (1e-3, np.array([1e-3, 2e-3, 5e-4, 1e-2])):
+            st = an.local_step(x, h)
+            want = an.central_differences(
+                lambda y: an.central_differences(outer_field, y, st), x, st)
+            got = an.second_differences(outer_field, x, h)
+            assert got.shape == (4, 6, 6, 3, 3)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_one_call_per_distinct_point(self):
+        calls = []
+
+        def counted(y):
+            calls.append(y.copy())
+            return outer_field(y)
+
+        an.second_differences(counted, 1.1 * unit_dirs(3, seed=24))
+        assert len(calls) == 1 + 2 * 6 + 4 * 15 == 73
+        pts = np.concatenate(calls)
+        assert len(np.unique(pts, axis=0)) == len(pts)
+
+
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
         x = unit_dirs(5, seed=1) * 2.0

@@ -181,7 +181,19 @@ class TestFastSuites:
         ledger = report["extras"]["ledger"]
         assert [k for k, ok in ledger.items() if not ok] == ["l2_conical"]
         assert {c["name"] for c in report["checks"] if not c["passed"]} == \
-            {"alpha", "exact_ledger"}
+            {"exact_ledger"}
+
+    def test_thm52_alpha_override_passes_when_the_ledger_holds(self,
+                                                               tmp_path):
+        # alpha = 39/50 keeps every inequality at kappa = (1 - alpha) 3
+        assert cli.main(["thm52", "--alpha", "0.78", "--out",
+                         str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["extras"]["alpha"] == "39/50"
+        assert report["extras"]["kappa"] == "33/50"
+        assert all(report["extras"]["ledger"].values())
+        alpha = report["checks"][0]
+        assert alpha["name"] == "alpha" and alpha["predicted"] == 0.78
 
 
 class TestListGeometries:

@@ -423,6 +423,21 @@ class TestDefectScan:
         assert len(scan.rows) == len(ts)
         assert len(calls) == 1
 
+    def test_curvature_sup_samples_each_stencil_point_once(self, geometry,
+                                                           monkeypatch):
+        # the metric for the norm and g^-1 at the base point, then 12 first-
+        # and 73 second-difference points at the step and at half of it
+        calls = []
+        metric = cn.ACGeometry.metric_on_target
+
+        def counted(self, x):
+            calls.append(1)
+            return metric(self, x)
+
+        monkeypatch.setattr(cn.ACGeometry, "metric_on_target", counted)
+        gl._curvature_sup(geometry[1])
+        assert len(calls) <= 173
+
 
 def _zero_scan():
     rows = tuple(
