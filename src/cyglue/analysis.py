@@ -10,7 +10,9 @@ First derivatives are taken by one stencil, central_differences, and the
 curvatures' second derivatives by second_differences, both with a step
 proportional to the distance from the cone tip. Fields here are plain
 callables from sample points of shape (..., dim) to KForm, MetricTensor,
-or ndarray batches over the same leading axes.
+or ndarray batches over the same leading axes; they must accept any
+leading batch axes, since central_differences stacks its shifts on a
+new one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ __all__ = [
 ]
 
 _SLOT_LETTERS = "abcdefgh"
-_BLOCK = 2048  # nodes per region_norms evaluation, bounding its memory
+# The package's one point budget per field evaluation: region_norms
+# evaluates its nodes, and central_differences its stacked shifts, in
+# chunks of at most this many points, bounding the memory of each call.
+_BLOCK = 384
 
 
 @dataclass(frozen=True)
@@ -80,25 +85,38 @@ def central_differences(f, x: np.ndarray, h=None):
     """Central-difference partials d_i f at x, with the step local_step(x, h).
 
     f maps points (..., dim) to an array, or to a dict of named arrays, over
-    the same batch axes; it runs at one shift x +- step e_i at a time. Each
+    the same batch axes, and must accept any leading batch axes: it
+    receives the 2 dim shifts x + step e_i (shift 2i) and x - step e_i
+    (shift 2i + 1) stacked on a new leading axis, a chunk of whole shifts
+    at a time, each chunk at most _BLOCK points and at least one shift.
+    Each chunk is differenced into the output as it arrives, the plus
+    shift copied, the minus shift subtracted and the difference divided by
+    2 step in place, so the result does not depend on the chunking. Each
     result carries the derivative index i right after the batch axes.
     """
     x = np.asarray(x, float)
-    dim = x.shape[-1]
-    nbatch = x.ndim - 1
+    dim, nbatch = x.shape[-1], x.ndim - 1
     step = local_step(x, h)
-    diffs = {}
-    for e in np.eye(dim):
-        hp = step[..., None] * e
-        plus, minus = f(x + hp), f(x - hp)
-        named = isinstance(plus, dict)
-        if not named:
-            plus, minus = {None: plus}, {None: minus}
-        for name, p in plus.items():
-            p = np.asarray(p)
-            denom = (2.0 * step).reshape(step.shape + (1,) * (p.ndim - nbatch))
-            diffs.setdefault(name, []).append((p - minus[name]) / denom)
-    out = {name: np.stack(d, axis=nbatch) for name, d in diffs.items()}
+    hp = np.moveaxis(step[..., None, None] * np.eye(dim), -2, 0)
+    shifts = np.stack([x + hp, x - hp], axis=1).reshape((2 * dim,) + x.shape)
+    per_call = max(1, _BLOCK // max(1, step.size))
+    out = {}
+    for lo in range(0, 2 * dim, per_call):
+        vals = f(shifts[lo:lo + per_call])
+        named = isinstance(vals, dict)
+        for name, v in (vals if named else {None: vals}).items():
+            v = np.asarray(v)
+            if name not in out:
+                shape = step.shape + (dim,) + v.shape[1 + nbatch:]
+                out[name] = np.empty(shape, np.result_type(v, step))
+            for k, val in enumerate(v, start=lo):
+                dest = out[name][(slice(None),) * nbatch + (k // 2, ...)]
+                if k % 2 == 0:
+                    dest[...] = val
+                else:
+                    dest -= val
+                    dest /= (2.0 * step).reshape(
+                        step.shape + (1,) * (val.ndim - nbatch))
     return out if named else out[None]
 
 
@@ -266,14 +284,14 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
     chart is flat with the identity metric, so pointwise norms are
     Euclidean: |coeffs| for a form and the Frobenius norm for a tensor,
     which gives sqrt(k!) |coeffs| for the full tensor of a k-form. The
-    scan's grad_*/hess_* fields are therefore plain central differences of
-    the coefficients, all taken from one 13-point stencil evaluation (the
-    node and its 12 shifts) per node.
+    scan's grad_* fields are therefore plain central differences of the
+    coefficients, taken at each block's nodes and their 12 stacked shifts.
 
     C0 is the maximum over all quadrature nodes; the L12 sum and the
     reported L2 run on doubled radial nodes, and quad_error is the L2
-    difference between the two radial resolutions. Nodes are evaluated in
-    blocks to bound the memory of the pointwise evaluations.
+    difference between the two radial resolutions. fields runs on blocks
+    of at most _BLOCK nodes, the package's point budget per evaluation,
+    which bounds the memory of the pointwise evaluations.
     """
     from .cones import link_quadrature
 

@@ -58,6 +58,10 @@ class Degenerate(CyglueError):
 class DomainEscape(CyglueError):
     """A flow trajectory left the coordinate chart."""
 
+    def __init__(self, message, sample_index=None):
+        super().__init__(message)
+        self.sample_index = sample_index
+
 
 class ConfigInvalid(CyglueError, ValueError):
     """A run configuration failed validation."""

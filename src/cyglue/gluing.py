@@ -412,36 +412,52 @@ def _curvature_sup(ac: ACGeometry, seed: int = 0) -> float:
     return float(np.max(lower_tensor_norm(g, low, 4)))
 
 
-def _neck_fields(glued: GluedStructure, x) -> dict:
-    """Every pointwise neck defect of a scan row at the nodes x.
+def _recovered(glued: GluedStructure, y, nbatch: int):
+    """Omega_t at the points y and its recovery against the cone's Kaehler
+    form. A sample that is not stable or not positive raises, named by
+    its last nbatch indices: its node in a batch of that many axes, with
+    any stacked shift axes in front dropped."""
+    Om = glued.Omega_t(y).coeffs
+    out = su3._recover_batch(
+        np.broadcast_to(FLAT_OMEGA.coeffs, Om.shape[:-1] + (15,)), Om)
+    for key, error in (("stable", NotStable), ("positive", NotPositive)):
+        if not np.all(out[key]):
+            bad = su3._first_bad(out[key])
+            raise error(f"recovery not {key} during scan",
+                        sample_index=bad[len(bad) - nbatch:])
+    return Om, out
 
-    Omega_t and the recovery (against the cone's Kaehler form) run once
-    at x and once at each of the 12 shifts x +- local_step(x) e_i. On the
-    flat cone chart gradients are central differences of coefficients,
-    a k-form's scaled by sqrt(k!) to give the norm of its full tensor.
-    """
-    def recovered(y):
-        Om = glued.Omega_t(y).coeffs
-        out = su3._recover_batch(
-            np.broadcast_to(FLAT_OMEGA.coeffs, Om.shape[:-1] + (15,)), Om)
-        for key, error in (("stable", NotStable), ("positive", NotPositive)):
-            if not np.all(out[key]):
-                raise error(f"recovery not {key} during scan",
-                            sample_index=su3._first_bad(out[key]))
-        return Om, out
+
+def _neck_gradients(glued: GluedStructure, x) -> dict:
+    """The scan's gradient fields at the nodes x, from Omega_t and the
+    recovery at the 12 shifts x +- local_step(x) e_i only, which
+    central_differences stacks into calls of at most _BLOCK points. On the
+    flat cone chart gradients are central differences of coefficients, a
+    k-form's scaled by sqrt(k!) to give the norm of its full tensor."""
+    nbatch = np.ndim(x) - 1
 
     def differentiated(y):
-        Om, out = recovered(y)
+        Om, out = _recovered(glued, y, nbatch)
         return {"grad_omega": np.sqrt(2.0) * out["omega_prime"],
                 "grad_metric": out["g"],
                 "grad_re_Omega": np.sqrt(6.0) * np.real(Om)}
 
-    Om, out = recovered(x)
+    return central_differences(differentiated, x)
+
+
+def _neck_fields(glued: GluedStructure, x) -> dict:
+    """Every pointwise neck defect of a scan row at the nodes x.
+
+    Omega_t and the recovery run once at x and once at each of its 12
+    shifts (_neck_gradients). A sample that fails the recovery raises
+    NotStable or NotPositive whose sample_index names its node in x.
+    """
+    Om, out = _recovered(glued, x, np.ndim(x) - 1)
     return {
         "Omega_defect": KForm(6, 3, Om - FLAT_OMEGA3.coeffs),
         "omega": KForm(6, 2, out["omega_prime"] - FLAT_OMEGA.coeffs),
         "im_Omega": KForm(6, 3, np.imag(Om) - out["theta2_prime"]),
-        **central_differences(differentiated, x),
+        **_neck_gradients(glued, x),
     }
 
 
@@ -451,9 +467,11 @@ def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
     norms = region_norms(lambda x: _neck_fields(glued, x), cone,
                          config.neck_bounds, config.n_radial, config.link_level)
     sup_pts = _sup_grid(config)
+    # the outer stencil reads grad_omega at its shifts only, so the sup
+    # points themselves are never recovered
     hess = central_differences(
-        lambda y: {"hess": _neck_fields(glued, y)["grad_omega"]}, sup_pts)
-    hess_c0 = float(np.max(np.sqrt(np.sum(hess["hess"] ** 2, axis=(1, 2, 3)))))
+        lambda y: _neck_gradients(glued, y)["grad_omega"], sup_pts)
+    hess_c0 = float(np.max(np.sqrt(np.sum(hess ** 2, axis=(1, 2, 3)))))
     return DefectRow(
         t=config.t,
         Omega_defect_c0=norms["Omega_defect"].c0,

@@ -267,7 +267,9 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
     built once per flow attempt. Jacobians of the chart come from central
     differences of neighbouring trajectories, offset by 1e-5. A trajectory
     leaving the chart annulus triggers a retry on a radially shrunk grid,
-    at most 8 times, after which DomainEscape propagates.
+    at most 8 times, after which DomainEscape propagates; its sample_index
+    is the first point of the last grid whose trajectory, or one of its
+    Jacobian stencil copies, escaped.
     """
     a, b = float(r_bounds[0]), float(r_bounds[1])
     if not (0.0 < a < b):
@@ -279,6 +281,8 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
     lo_bound, hi_bound = 0.5 * a, b
 
     def flow(y0):
+        """The images of y0 at t = 1, or None and the mask of the
+        trajectories that left the annulus at the first step any did."""
         y = np.array(y0, float)
         omega_v = cone.fields_at(y).omega
 
@@ -297,9 +301,10 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
             k4 = velocity(t + dt, y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             r = np.linalg.norm(y, axis=-1)
-            if np.any(r < lo_bound) or np.any(r > hi_bound):
-                return None
-        return y
+            escaped = (r < lo_bound) | (r > hi_bound)
+            if np.any(escaped):
+                return None, escaped
+        return y, None
 
     for halving in range(_MAX_HALVINGS + 1):
         b_cur = a + (b - a) * 0.5 ** halving
@@ -311,13 +316,16 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
             stencil.append(pts + _JAC_H * e)
             stencil.append(pts - _JAC_H * e)
         batch = np.concatenate(stencil, axis=0)
-        out = flow(batch)
+        out, escaped = flow(batch)
         if out is not None:
             break
     else:
+        # the batch holds 13 stencil copies of pts; name the point
+        first = int(np.argmax(escaped.reshape(-1, len(pts)).any(axis=0)))
         raise DomainEscape(
             f"trajectories kept leaving ({a}, {b}) after "
-            f"{_MAX_HALVINGS} domain halvings")
+            f"{_MAX_HALVINGS} domain halvings (first at sample {first})",
+            sample_index=[first])
 
     n = len(pts)
     images = out[:n]

@@ -79,8 +79,8 @@ class TestCentralDifferences:
     def test_dict_output_matches_inline_stencil(self):
         def named(y):
             return {"outer": outer_field(y),
-                    "scalar": np.cos(y[:, 0] * y[:, 5]),
-                    "complex": np.exp(1j * y[:, :4])}
+                    "scalar": np.cos(y[..., 0] * y[..., 5]),
+                    "complex": np.exp(1j * y[..., :4])}
 
         x = 0.4 * unit_dirs(7, seed=7)
         step = an.local_step(x, None)
@@ -166,6 +166,79 @@ class TestCentralDifferences:
         assert got.degree == k + 1 and got.coeffs.shape == want.shape
         assert np.max(np.abs(got.coeffs - want)) \
             <= 1e-15 * np.max(np.abs(want))
+
+
+def named_field(y):
+    return {"outer": outer_field(y),
+            "scalar": np.cos(y[..., 0] * y[..., 5]),
+            "complex": np.exp(1j * y[..., :4])}
+
+
+class TestStencilBudget:
+    """central_differences gives the same bits whatever the point budget:
+    one shift per call, or chunks that split the 12 shifts unevenly and
+    separate x + step e_i from x - step e_i."""
+
+    @staticmethod
+    def budgets(x):
+        n = int(np.prod(np.shape(x)[:-1]))
+        return (1, 5 * n, 11 * n)
+
+    @staticmethod
+    def assert_same(got, want):
+        if isinstance(want, dict):
+            assert set(got) == set(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name])
+                assert got[name].dtype == want[name].dtype
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("field", [outer_field, named_field],
+                             ids=["array", "dict"])
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)],
+                             ids=["0d", "1d", "2d"])
+    @pytest.mark.parametrize("h", [None, 1e-3, "per-sample"])
+    def test_budget_does_not_change_the_result(self, monkeypatch, field,
+                                               shape, h):
+        n = int(np.prod(shape))
+        x = (0.9 * unit_dirs(n, seed=25)).reshape(shape + (6,))
+        if h == "per-sample":
+            h = 1e-3 * (1.0 + np.arange(n).reshape(shape))
+        want = an.central_differences(field, x, h)
+        for budget in self.budgets(x):
+            monkeypatch.setattr(an, "_BLOCK", budget)
+            self.assert_same(an.central_differences(field, x, h), want)
+
+    def test_nested_per_sample_step(self, monkeypatch):
+        # the nested use TestSecondDifferences compares against
+        x = 2.0 * unit_dirs(4, seed=23)
+        st = an.local_step(x, np.array([1e-3, 2e-3, 5e-4, 1e-2]))
+
+        def nested():
+            return an.central_differences(
+                lambda y: an.central_differences(outer_field, y, st), x, st)
+
+        want = nested()
+        for budget in self.budgets(x):
+            monkeypatch.setattr(an, "_BLOCK", budget)
+            self.assert_same(nested(), want)
+
+    def test_calls_hold_whole_shifts_within_the_budget(self, monkeypatch):
+        calls = []
+
+        def counted(y):
+            calls.append(y.shape)
+            return outer_field(y)
+
+        x = unit_dirs(5, seed=26)
+        for budget, want in ((1, [(1, 5, 6)] * 12),
+                             (25, [(5, 5, 6)] * 2 + [(2, 5, 6)]),
+                             (4096, [(12, 5, 6)])):
+            calls.clear()
+            monkeypatch.setattr(an, "_BLOCK", budget)
+            an.central_differences(counted, x)
+            assert calls == want
 
 
 class TestSecondDifferences:

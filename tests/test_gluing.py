@@ -11,7 +11,8 @@ from cyglue import analysis as an
 from cyglue import cones as cn
 from cyglue import forms
 from cyglue import gluing as gl
-from cyglue.errors import ConfigInvalid, RateOutOfRange
+from cyglue.errors import (ConfigInvalid, NotPositive, NotStable,
+                           RateOutOfRange)
 from cyglue.forms import KForm, form_norm, wedge
 
 
@@ -389,7 +390,8 @@ class TestDefectScan:
 
         def counted_recover(omega_c, Omega_c):
             seen["recover"].append(np.concatenate(
-                [Omega_c.real, Omega_c.imag, omega_c], axis=-1))
+                [Omega_c.real, Omega_c.imag, omega_c],
+                axis=-1).reshape(-1, 55))
             return recover(omega_c, Omega_c)
 
         def counted_christoffel(*args, **kwargs):
@@ -405,6 +407,53 @@ class TestDefectScan:
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
         assert seen["christoffel"] == 0
+
+    def test_row_recoveries_fit_the_point_budget(self, geometry,
+                                                 monkeypatch):
+        sizes = []
+        recover = gl.su3._recover_batch
+
+        def counted(omega_c, Omega_c):
+            sizes.append(int(np.prod(Omega_c.shape[:-1])))
+            return recover(omega_c, Omega_c)
+
+        monkeypatch.setattr(gl.su3, "_recover_batch", counted)
+        gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
+        # 192 coarse and 384 fine nodes with their 12 shifts each, and the
+        # 12 x 12 inner shifts of the 16 sup points, whose outer stencil
+        # needs no recovery at its centre
+        assert sum(sizes) == 13 * (192 + 384) + 12 * 12 * 16
+        assert len(sizes) <= 30
+        assert max(sizes) <= an._BLOCK
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 4)])
+    @pytest.mark.parametrize("key, error", [("stable", NotStable),
+                                            ("positive", NotPositive)])
+    def test_failure_at_a_shift_names_its_node(self, glued, monkeypatch,
+                                               shape, key, error):
+        x = gl._sup_grid(glued.config)[:8]
+        node = 5
+        step = an.local_step(x[node], None)
+        omega_t, recover = gl.GluedStructure.Omega_t, gl.su3._recover_batch
+        last = {}
+
+        def stashing_omega_t(self, y):
+            last["y"] = np.asarray(y, float)
+            return omega_t(self, y)
+
+        def failing_recover(omega_c, Omega_c):
+            # fail at the node's shifts x +- step e_i, never at the node
+            out = recover(omega_c, Omega_c)
+            offset = np.linalg.norm(last["y"] - x[node], axis=-1)
+            out[key] = out[key] & ~((offset > 0.0) & (offset < 2.0 * step))
+            return out
+
+        monkeypatch.setattr(gl.GluedStructure, "Omega_t", stashing_omega_t)
+        monkeypatch.setattr(gl.su3, "_recover_batch", failing_recover)
+        with pytest.raises(error) as err:
+            gl._neck_fields(glued, x.reshape(shape + (6,)))
+        want = np.unravel_index(node, shape)
+        assert err.value.sample_index == [int(i) for i in want]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("ts", [SCAN_TS, [0.4, 0.283, 0.2, 0.141, 0.1]],

@@ -456,9 +456,16 @@ class TestMoserIntegrate:
 
     def test_domain_escape_raises(self):
         eta = eta_weight(5.0, amp=0.3)
-        with pytest.raises(DomainEscape):
+        with pytest.raises(DomainEscape) as err:
             mo.moser_integrate(self.cone, eta, 3.0, (0.5, 0.5001),
                                steps=4, n_dirs=2, n_radii=2, fd_h=1e-4)
+        # samples are radius-major: sample 1 is the second direction at
+        # the inner radius; the first direction alone flows inwards and
+        # stays in the chart, so sample 0 never escapes
+        assert err.value.sample_index == [1]
+        inward = mo.moser_integrate(self.cone, eta, 3.0, (0.5, 0.5001),
+                                    steps=4, n_dirs=1, n_radii=2, fd_h=1e-4)
+        assert inward.halvings == 0
 
     def test_bad_bounds(self):
         def zero(y):
