@@ -62,9 +62,10 @@ _CONFIG_TYPES = {
 }
 _LIST_KEYS = ("t_list", "link_level")
 _OPTIONAL_KEYS = ("geometry", "nu", "alpha")
-# sizes, counts and scan values; every entry of a list must be positive
+# sizes, counts, scan values and the conical rate; every entry of a list
+# must be positive
 _POSITIVE_KEYS = ("t_list", "steps", "n_radial", "link_level", "n_sup_dirs",
-                  "workers")
+                  "workers", "nu")
 
 
 @dataclass(frozen=True)
@@ -443,6 +444,8 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         data[key] = tuple(map(kind, value)) if is_list else kind(value)
         if key in _POSITIVE_KEYS and not all(v > 0 for v in items):
             raise ConfigInvalid(f"{key} must be positive, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ConfigInvalid(f"seed must be nonnegative, got {value!r}")
         if key == "link_level" and len(value) != 3:
             raise ConfigInvalid(f"link_level must hold three node counts "
                                 f"(n_rho, n_ang, n_psi), got {value!r}")

@@ -13,22 +13,23 @@ class DegenerateMetric(CyglueError, ValueError):
     """A candidate metric is not symmetric positive definite."""
 
 
-class NotStable(CyglueError):
+class _SampleError(CyglueError):
+    """A failure at one sample of a batch; sample_index is its index in
+    the batch, or None."""
+
+    def __init__(self, message, sample_index=None):
+        super().__init__(message)
+        self.sample_index = sample_index
+
+
+class NotStable(_SampleError):
     """The 3-form quartic invariant is nonnegative, so no almost complex
     structure can be extracted."""
 
-    def __init__(self, message, sample_index=None):
-        super().__init__(message)
-        self.sample_index = sample_index
 
-
-class NotPositive(CyglueError):
+class NotPositive(_SampleError):
     """The (1,1) part of the 2-form fails positivity against the recovered
     almost complex structure."""
-
-    def __init__(self, message, sample_index=None):
-        super().__init__(message)
-        self.sample_index = sample_index
 
 
 class NotPositive3Form(CyglueError):
@@ -46,21 +47,13 @@ class RateOutOfRange(CyglueError):
     integral converges."""
 
 
-class Degenerate(CyglueError):
+class Degenerate(_SampleError):
     """A 2-form became numerically degenerate (smallest singular value below
     1e-6 of the largest)."""
 
-    def __init__(self, message, sample_index=None):
-        super().__init__(message)
-        self.sample_index = sample_index
 
-
-class DomainEscape(CyglueError):
+class DomainEscape(_SampleError):
     """A flow trajectory left the coordinate chart."""
-
-    def __init__(self, message, sample_index=None):
-        super().__init__(message)
-        self.sample_index = sample_index
 
 
 class ConfigInvalid(CyglueError, ValueError):

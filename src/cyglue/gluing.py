@@ -37,7 +37,7 @@ from .analysis import (central_differences, region_norms, riemann_ricci,
 from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
                     SyntheticPerturbation, calabi_ale_o3, quotient_cone_z3,
                     t6_z3_orbifold_patch)
-from .errors import ConfigInvalid, NotPositive, NotStable, RateOutOfRange
+from .errors import ConfigInvalid, RateOutOfRange
 from .forms import KForm, MetricTensor, lower_tensor_norm
 
 __all__ = [
@@ -418,13 +418,8 @@ def _recovered(glued: GluedStructure, y, nbatch: int):
     its last nbatch indices: its node in a batch of that many axes, with
     any stacked shift axes in front dropped."""
     Om = glued.Omega_t(y).coeffs
-    out = su3._recover_batch(
-        np.broadcast_to(FLAT_OMEGA.coeffs, Om.shape[:-1] + (15,)), Om)
-    for key, error in (("stable", NotStable), ("positive", NotPositive)):
-        if not np.all(out[key]):
-            bad = su3._first_bad(out[key])
-            raise error(f"recovery not {key} during scan",
-                        sample_index=bad[len(bad) - nbatch:])
+    out = su3._recover_batch(FLAT_OMEGA.coeffs, Om)
+    su3._raise_failures(out, nbatch)
     return Om, out
 
 

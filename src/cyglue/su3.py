@@ -83,15 +83,22 @@ def _check_theta(theta: KForm):
         raise DimensionMismatch("expected a real 3-form")
 
 
-def _k_endomorphism(coeffs: np.ndarray) -> np.ndarray:
-    """K with iota_{K(v)} vol = iota_v theta ^ theta, batched over leading axes."""
+def _iota_table(coeffs: np.ndarray) -> np.ndarray:
+    """Row a holds the 15 coefficients of iota_{e_a} theta, batched over
+    leading axes; each entry is zero or one coefficient of theta, signed."""
     C = mi.contraction_tensor(6, 3)          # (6, 20, 15)
+    return (coeffs @ C.transpose(1, 0, 2).reshape(20, 90)).reshape(
+        coeffs.shape[:-1] + (6, 15))
+
+
+def _k_endomorphism(coeffs: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """K with iota_{K(v)} vol = iota_v theta ^ theta, batched over leading
+    axes, from theta and its table t1 = _iota_table(theta)."""
     W = mi.wedge_tensor(6, 2, 3)             # (15, 20, 6)
     # mu[..., a, m] = coefficients of iota_{e_a} theta ^ theta,
-    # assembled as two vector-matrix products and a batched matmul
-    lead = coeffs.shape[:-1]
-    t1 = (coeffs @ C.transpose(1, 0, 2).reshape(20, 90)).reshape(lead + (6, 15))
-    t2 = (coeffs @ W.transpose(1, 0, 2).reshape(20, 90)).reshape(lead + (15, 6))
+    # assembled as a vector-matrix product and a batched matmul
+    t2 = (coeffs @ W.transpose(1, 0, 2).reshape(20, 90)).reshape(
+        coeffs.shape[:-1] + (15, 6))
     mu = t1 @ t2
     # the 5-form omitting index i sits at storage position 5 - i, so row i
     # of K is (-1)^i times column 5 - i of mu
@@ -102,47 +109,57 @@ def stable_invariant(theta1: KForm) -> np.ndarray:
     """Quartic invariant lambda(theta1); negative on the stable orbit that
     carries an almost complex structure."""
     _check_theta(theta1)
-    K = _k_endomorphism(theta1.coeffs)
+    K = _k_endomorphism(theta1.coeffs, _iota_table(theta1.coeffs))
     return np.einsum("...ij,...ji->...", K, K) / 6.0
 
 
 @lru_cache(maxsize=None)
-def _cyclic_positions() -> tuple:
-    """Flat positions in a (6, 6, 6) array of (a, b, c), (c, a, b) and
-    (b, c, a), for each increasing (a, b, c) in storage order."""
-    abc = mi.index_sets(6, 3)
-    return tuple(
-        np.array([36 * I[p] + 6 * I[q] + I[s] for I in abc], dtype=np.intp)
-        for p, q, s in ((0, 1, 2), (2, 0, 1), (1, 2, 0)))
+def _companion_positions() -> np.ndarray:
+    """Flat positions in a (6, 15) table of (a, bc), (c, ab) and (b, ac),
+    for each increasing (a, b, c) in storage order, as three rows of 20."""
+    rank = mi.index_rank(6, 2)
+    return np.array(
+        [15 * I[p] + rank[I[q], I[s]] for p, q, s in
+         ((0, 1, 2), (2, 0, 1), (1, 0, 2)) for I in mi.index_sets(6, 3)],
+        dtype=np.intp)
 
 
-def _theta2_tensor(J: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    T = mi.coeffs_to_tensor(coeffs, 6, 3)
-    lead = T.shape[:-3]
-    U = (np.swapaxes(J, -1, -2) @ T.reshape(lead + (6, 36))).reshape(
-        lead + (216,))
-    # U inherits antisymmetry in its last two slots, so alternation
-    # reduces to the cyclic average, needed at increasing indices only
-    abc, cab, bca = _cyclic_positions()
-    return -((U[..., abc] + U[..., cab] + U[..., bca]) / 3.0)
+def _theta2(J: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """-theta(J., ., .), antisymmetrized, from the table t1 of theta."""
+    P = np.swapaxes(J, -1, -2) @ t1
+    lead = P.shape[:-2]
+    # P[d, bc] = theta(J e_d, e_b, e_c) is antisymmetric in b, c, so the
+    # alternation is the cyclic mean (P[a, bc] + P[c, ab] - P[b, ac]) / 3;
+    # indexing, unlike np.take, lays the result out batch axis fastest,
+    # and the summation order of _acs_batch's pairing follows that layout
+    cyc = P.reshape(lead + (90,))[..., _companion_positions()].reshape(
+        lead + (3, 20))
+    return -((cyc[..., 0, :] + cyc[..., 1, :]) - cyc[..., 2, :]) / 3.0
 
 
 def _acs_batch(coeffs: np.ndarray):
-    """(J, lam, stable_mask, theta2_prime) without raising; J and
-    theta2_prime are garbage where unstable."""
-    K = _k_endomorphism(coeffs)
+    """(J, lam, stable_mask, theta2_prime, pairing) without raising; J and
+    theta2_prime are garbage where unstable.
+
+    theta2_prime is read off the table of iota_{e_a} theta that also
+    builds K, and pairing is the coefficient of theta ^ theta2_prime on
+    the volume form, nonnegative after the orientation fix.
+    """
+    t1 = _iota_table(coeffs)
+    K = _k_endomorphism(coeffs, t1)
     lam = np.einsum("...ij,...ji->...", K, K) / 6.0
     scale = np.einsum("...i,...i->...", coeffs, coeffs)  # |theta|^2, flat frame
     stable = lam < -_STABLE_RTOL * (scale ** 2 + 1e-300)
     denom = np.sqrt(np.where(stable, -lam, 1.0))
     J = K / denom[..., None, None]
     # orientation: require theta ^ theta2_prime positively oriented
-    t2 = _theta2_tensor(J, coeffs)
+    t2 = _theta2(J, t1)
     W = mi.wedge_tensor(6, 3, 3)[..., 0]
     top = np.einsum("...j,...j->...", coeffs @ W, t2)
     flip = np.where(top < 0, -1.0, 1.0)
-    # theta2_prime is linear in J, so flipping it is exact
-    return J * flip[..., None, None], lam, stable, t2 * flip[..., None]
+    # theta2_prime and the pairing are linear in J, so flipping is exact
+    return (J * flip[..., None, None], lam, stable, t2 * flip[..., None],
+            top * flip)
 
 
 def acs_from_theta1(theta1: KForm) -> LinearMap:
@@ -151,12 +168,8 @@ def acs_from_theta1(theta1: KForm) -> LinearMap:
     Raises NotStable when the quartic invariant fails to be negative.
     """
     _check_theta(theta1)
-    J, lam, stable, _ = _acs_batch(theta1.coeffs)
-    if not np.all(stable):
-        bad = np.argwhere(~np.atleast_1d(stable))
-        raise NotStable(
-            f"quartic invariant is nonnegative (lambda={np.atleast_1d(lam).ravel()[0]:.3e} "
-            f"at sample {bad[0].tolist()})", sample_index=bad[0].tolist())
+    J, _, stable, _, _ = _acs_batch(theta1.coeffs)
+    _raise_failures({"stable": stable})
     return LinearMap(J, role="almost complex structure")
 
 
@@ -167,7 +180,8 @@ def theta2_prime(J: LinearMap, theta1: KForm) -> KForm:
     is a no-op and theta1 + i theta2_prime is a (3,0)-form.
     """
     _check_theta(theta1)
-    return KForm(6, 3, _theta2_tensor(np.asarray(J.matrix, float), theta1.coeffs))
+    return KForm(6, 3, _theta2(np.asarray(J.matrix, float),
+                               _iota_table(theta1.coeffs)))
 
 
 def omega_11(omega: KForm, J: LinearMap) -> KForm:
@@ -186,8 +200,13 @@ def _metric_from(omega_p: np.ndarray, J: np.ndarray) -> np.ndarray:
 def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     """Vectorized recovery pipeline on raw coefficient arrays.
 
+    omega_c may be unbatched, one 2-form for every sample of Omega_c, as
+    the flat Kaehler form is on the neck; it broadcasts against J.
+    theta2_prime is read off the table of iota_{e_a} theta1 that builds J.
+
     Returns a dict of arrays; ``stable`` and ``positive`` are masks rather
-    than raised errors so grid evaluations can report the offending sample.
+    than raised errors so grid evaluations can report the offending sample
+    (_raise_failures turns them into errors).
     ``positive`` is the eigenvalue rule w_min > _POS_RTOL max|w| on the
     samples with f > 0. A Gershgorin certificate decides it without an
     eigensolve wherever it can: the rows of g bound w_min from below and
@@ -195,10 +214,8 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     _POS_RTOL always passes the rule (argument in
     forms.gershgorin_certified).
     """
-    theta1 = np.real(Omega_c)
-    J, lam, stable, t2p = _acs_batch(theta1)
+    J, lam, stable, t2p, pairing = _acs_batch(np.real(Omega_c))
 
-    W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
     # omega(J., J.) has the tensor J^T W J of omega's tensor W
     W = mi.coeffs_to_tensor(omega_c, 6, 2)
     om11 = 0.5 * (omega_c + mi.tensor_to_coeffs(
@@ -210,7 +227,8 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     tmp = tmp.reshape(tmp.shape[:-1] + (15, 15))
     om11_sq = (om11[..., None, :] @ tmp)[..., 0, :]
     num = np.einsum("...k,...k->...", om11 @ W24, om11_sq)
-    den = 1.5 * np.einsum("...j,...j->...", theta1 @ W33, t2p)
+    # omega'^3 = (3/2) theta1 ^ theta2_prime fixes the scale f
+    den = 1.5 * pairing
     safe_den = np.where(den == 0.0, 1.0, den)
     f = np.where(den == 0.0, np.nan, num / safe_den)
 
@@ -242,9 +260,18 @@ def _positive_metric(g: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     return positive.reshape(candidate.shape)
 
 
-def _first_bad(mask):
-    bad = np.argwhere(~np.atleast_1d(mask))
-    return bad[0].tolist()
+def _raise_failures(masks: dict, nbatch=None):
+    """Raise NotStable, then NotPositive, at the first sample whose
+    ``stable`` or ``positive`` entry of masks is False. Its sample_index
+    is the sample's last nbatch indices, or all of them when nbatch is
+    None."""
+    for key, error in (("stable", NotStable), ("positive", NotPositive)):
+        if key in masks and not np.all(masks[key]):
+            bad = np.argwhere(~np.atleast_1d(masks[key]))[0].tolist()
+            if nbatch is not None:
+                bad = bad[len(bad) - nbatch:]
+            raise error(f"recovery not {key} at sample {bad}",
+                        sample_index=bad)
 
 
 def recover_su3(omega: KForm, Omega: KForm, eps0: float = 0.2):
@@ -273,12 +300,7 @@ def recover_su3(omega: KForm, Omega: KForm, eps0: float = 0.2):
         raise DimensionMismatch("Omega must be a 3-form on R^6")
     Omega_c = Omega.coeffs.astype(np.complex128, copy=False)
     out = _recover_batch(omega.coeffs, Omega_c)
-    if not np.all(out["stable"]):
-        raise NotStable("Re(Omega) is not a stable 3-form",
-                        sample_index=_first_bad(out["stable"]))
-    if not np.all(out["positive"]):
-        raise NotPositive("recovered (1,1)-form is not positive",
-                          sample_index=_first_bad(out["positive"]))
+    _raise_failures(out)
 
     J = LinearMap(out["J"], role="almost complex structure")
     omega_p = KForm(6, 2, out["omega_prime"])

@@ -93,6 +93,8 @@ class TestConfigPlumbing:
         ({"link_level": [4, 4]}, [], "link_level"),
         ({"t_list": [0.4, 0.2, 0.0, 0.1]}, [], "t_list"),
         ({"steps": -8}, [], "steps"),
+        ({"command": "cone-verify", "seed": -1}, [], "seed"),
+        ({"command": "moser", "nu": 0}, [], "nu"),
     ])
     def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys,
                                   monkeypatch):

@@ -241,13 +241,13 @@ class TestGluedStructure:
                                         counted(name, getattr(module, name)))
         monkeypatch.setattr(cn.ConeGeometry, "fields_at",
                             counted("fields_at", cn.ConeGeometry.fields_at))
-        monkeypatch.setattr(gl.su3, "_theta2_tensor",
-                            counted("_theta2_tensor", gl.su3._theta2_tensor))
+        monkeypatch.setattr(gl.su3, "_theta2",
+                            counted("_theta2", gl.su3._theta2))
         Om = glued.Omega_t(self._across_chart(glued, 13)).coeffs
         assert not calls
         gl.su3._recover_batch(
             np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
-        assert calls == {"_theta2_tensor": 1}
+        assert calls == {"_theta2": 1}
 
         # on the neck nodes: one xhat ^ iota_xhat Omega_V and one xhat ^ b
         # per Omega_t call, and a recovery that certifies positivity
@@ -390,7 +390,8 @@ class TestDefectScan:
 
         def counted_recover(omega_c, Omega_c):
             seen["recover"].append(np.concatenate(
-                [Omega_c.real, Omega_c.imag, omega_c],
+                [Omega_c.real, Omega_c.imag,
+                 np.broadcast_to(omega_c, Omega_c.shape[:-1] + (15,))],
                 axis=-1).reshape(-1, 55))
             return recover(omega_c, Omega_c)
 
@@ -407,6 +408,21 @@ class TestDefectScan:
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
         assert seen["christoffel"] == 0
+
+    def test_row_expands_no_three_form_tensor(self, geometry, monkeypatch):
+        # the companion 3-form is read off the iota table of theta1, so no
+        # recovery gathers theta1's (6, 6, 6) tensor
+        expanded = []
+        coeffs_to_tensor = mi.coeffs_to_tensor
+
+        def counted(coeffs, dim, k):
+            expanded.append((dim, k))
+            return coeffs_to_tensor(coeffs, dim, k)
+
+        monkeypatch.setattr(mi, "coeffs_to_tensor", counted)
+        gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
+        assert (6, 2) in expanded
+        assert (6, 3) not in expanded
 
     def test_row_recoveries_fit_the_point_budget(self, geometry,
                                                  monkeypatch):

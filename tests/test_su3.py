@@ -238,13 +238,13 @@ class TestRecoveryKernels:
         self.omega = OM0.coeffs + 0.3 * rng.standard_normal((32, 15))
 
     def test_oriented_companion_is_recomputed_bitwise(self):
-        J, _, stable, t2 = su3._acs_batch(self.theta)
+        J, _, stable, t2, _ = su3._acs_batch(self.theta)
         assert np.any(stable)
-        assert np.array_equal(t2, su3._theta2_tensor(J, self.theta))
+        assert np.array_equal(t2, su3._theta2(J, su3._iota_table(self.theta)))
 
     def test_companion_gather_matches_full_alternation(self):
         # the whole alternated (6, 6, 6) array, read off at increasing
-        # indices, as _theta2_tensor computed it before reading only those
+        # indices, as the companion was computed before reading only those
         rng = np.random.default_rng(32)
         J = rng.standard_normal((32, 6, 6))
         T = KForm(6, 3, self.theta).as_tensor()
@@ -252,7 +252,41 @@ class TestRecoveryKernels:
         U = (U + np.moveaxis(U, [-3, -2, -1], [-1, -3, -2])
              + np.moveaxis(U, [-3, -2, -1], [-2, -1, -3])) / 3.0
         want = -KForm.from_tensor(6, 3, U).coeffs
-        assert np.array_equal(su3._theta2_tensor(J, self.theta), want)
+        assert np.array_equal(su3._theta2(J, su3._iota_table(self.theta)),
+                              want)
+
+    @pytest.mark.parametrize("lead", [(), (32,), (4, 8)])
+    def test_iota_gather_matches_cyclic_tensor_sums(self, lead):
+        # the companion from the whole (6, 6, 6) tensor of theta and its 20
+        # cyclic sums at increasing indices, as computed before it was read
+        # off the iota table
+        rng = np.random.default_rng(33)
+        theta = self.theta[:max(1, int(np.prod(lead)))].reshape(lead + (20,))
+        J = rng.standard_normal(lead + (6, 6))
+        T = mi.coeffs_to_tensor(theta, 6, 3)
+        U = (np.swapaxes(J, -1, -2) @ T.reshape(lead + (6, 36))).reshape(
+            lead + (216,))
+        sets = mi.index_sets(6, 3)
+        abc, cab, bca = (
+            np.array([36 * I[p] + 6 * I[q] + I[r] for I in sets])
+            for p, q, r in ((0, 1, 2), (2, 0, 1), (1, 2, 0)))
+        want = -((U[..., abc] + U[..., cab] + U[..., bca]) / 3.0)
+        got = su3._theta2(J, su3._iota_table(theta))
+        assert got.shape == lead + (20,)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lead", [(32,), (4, 8)])
+    def test_unbatched_omega_is_its_broadcast_bytewise(self, lead):
+        rng = np.random.default_rng(34)
+        Om = (self.theta + 1j * (IM0.coeffs + 0.3 * rng.standard_normal(
+            (32, 20)))).reshape(lead + (20,))
+        one = su3._recover_batch(OM0.coeffs, Om)
+        wide = su3._recover_batch(
+            np.broadcast_to(OM0.coeffs, lead + (15,)), Om)
+        assert one.keys() == wide.keys()
+        for key in one:
+            assert one[key].shape == wide[key].shape, key
+            assert one[key].tobytes() == wide[key].tobytes(), key
 
     def test_k_gather_matches_row_loop(self):
         # K filled row by row from the 5-form that omits each index i,
@@ -269,7 +303,8 @@ class TestRecoveryKernels:
         for i in range(6):
             comp = tuple(j for j in range(6) if j != i)
             want[:, i, :] = (-1.0 if i % 2 else 1.0) * mu[:, :, rank5[comp]]
-        assert np.array_equal(su3._k_endomorphism(self.theta), want)
+        assert np.array_equal(
+            su3._k_endomorphism(self.theta, su3._iota_table(self.theta)), want)
 
     def test_congruence_matches_omega_11(self):
         out = su3._recover_batch(self.omega, self.theta + 0j)
