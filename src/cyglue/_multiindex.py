@@ -83,6 +83,17 @@ def _subset_array(dim: int, k: int) -> np.ndarray:
     return np.array(index_sets(dim, k), dtype=np.intp).reshape(ncomp(dim, k), k)
 
 
+def _det3(H: np.ndarray) -> np.ndarray:
+    """Cofactor determinant of a batch of 3x3 matrices, in H's own dtype
+    (LAPACK has no extended-precision path)."""
+    return (H[..., 0, 0] * (H[..., 1, 1] * H[..., 2, 2]
+                            - H[..., 1, 2] * H[..., 2, 1])
+            - H[..., 0, 1] * (H[..., 1, 0] * H[..., 2, 2]
+                              - H[..., 1, 2] * H[..., 2, 0])
+            + H[..., 0, 2] * (H[..., 1, 0] * H[..., 2, 1]
+                              - H[..., 1, 1] * H[..., 2, 0]))
+
+
 def compound_matrix(L: np.ndarray, k: int) -> np.ndarray:
     """k-th compound: C[..., P, Q] = det(L[rows P, cols Q]) over index sets."""
     dim = L.shape[-1]
@@ -98,12 +109,7 @@ def compound_matrix(L: np.ndarray, k: int) -> np.ndarray:
     if k == 2:
         return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
     if k == 3:
-        return (sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2]
-                                  - sub[..., 1, 2] * sub[..., 2, 1])
-                - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2]
-                                    - sub[..., 1, 2] * sub[..., 2, 0])
-                + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1]
-                                    - sub[..., 1, 1] * sub[..., 2, 0]))
+        return _det3(sub)
     return np.linalg.det(sub)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _multiindex as mi
+from .cones import link_quadrature
 from .errors import ConfigInvalid
 from .forms import KForm, MetricTensor
 
@@ -293,8 +294,6 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
     of at most _BLOCK nodes, the package's point budget per evaluation,
     which bounds the memory of the pointwise evaluations.
     """
-    from .cones import link_quadrature
-
     a, b = float(r_bounds[0]), float(r_bounds[1])
     if not (0.0 < a < b):
         raise ConfigInvalid("need 0 < r_min < r_max")

@@ -455,12 +455,8 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, CheckRecord):
-        return asdict(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -16,8 +16,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _multiindex as mi
 from .errors import ConfigInvalid, DegenerateMetric, DimensionMismatch
-from .forms import KForm, LinearMap, MetricTensor, contract, pullback, wedge
+from .forms import (KForm, LinearMap, MetricTensor, contract, form_norm,
+                    pullback, wedge)
 
 __all__ = [
     "FieldSample", "ConeGeometry", "ACGeometry", "ConicalSingularityData",
@@ -34,7 +36,6 @@ _IM0 = np.zeros(20)
 
 
 def _seed_flat_constants():
-    from . import _multiindex as mi
     r2 = mi.index_rank(6, 2)
     r3 = mi.index_rank(6, 3)
     for I, c in {(0, 1): 1, (2, 3): 1, (4, 5): 1}.items():
@@ -141,7 +142,6 @@ class FieldSample:
     g: MetricTensor
     omega: KForm
     Omega: KForm
-    J: LinearMap
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,7 @@ def _broadcast_flat(x: np.ndarray) -> FieldSample:
     g = MetricTensor(6, np.broadcast_to(np.eye(6), shape + (6, 6)), _checked=True)
     om = KForm(6, 2, np.broadcast_to(_OM0, shape + (15,)))
     Om = KForm(6, 3, np.broadcast_to(FLAT_OMEGA3.coeffs, shape + (20,)))
-    J = LinearMap(np.broadcast_to(J_STANDARD, shape + (6, 6)))
-    return FieldSample(g, om, Om, J)
+    return FieldSample(g, om, Om)
 
 
 @dataclass(frozen=True)
@@ -173,10 +172,6 @@ class ConeGeometry:
 
     def fields_at(self, x: np.ndarray) -> FieldSample:
         return _broadcast_flat(x)
-
-    @staticmethod
-    def radius(x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.asarray(x, float), axis=-1)
 
     @property
     def link_volume(self) -> float:
@@ -301,7 +296,7 @@ def complex_dilation(cone: ConeGeometry, t: float, theta: float) -> LinearMap:
     """The map (gamma, r) -> (exp(theta Z) gamma, t r) as a linear chart map."""
     if t <= 0:
         raise ConfigInvalid("dilation factor must be positive")
-    return LinearMap(t * _block_rotation(theta), role="complex dilation")
+    return LinearMap(t * _block_rotation(theta))
 
 
 _LIE_TARGETS = {
@@ -344,7 +339,6 @@ def lie_derivative_check(cone: ConeGeometry, field_selector: str,
     lie = (1.0 / (2.0 * h)) * (pull(h) - pull(-h))
     base = cone.fields_at(x)
     target = factor * (base.omega if form_name == "omega" else base.Omega)
-    from .forms import form_norm
     res = form_norm(base.g, lie - target)
     return float(np.max(res))
 
@@ -354,7 +348,6 @@ def lie_derivative_check(cone: ConeGeometry, field_selector: str,
 
 def hermitian_to_omega(H: np.ndarray) -> KForm:
     """Real 2-form of (i/2) sum H_kl dz_k ^ dzbar_l for hermitian H."""
-    from . import _multiindex as mi
     H = np.asarray(H, complex)
     P, Q = H.real, H.imag
     r2 = mi.index_rank(6, 2)
@@ -373,17 +366,6 @@ def hermitian_to_omega(H: np.ndarray) -> KForm:
     return KForm(6, 2, out)
 
 
-def _det3(H: np.ndarray) -> np.ndarray:
-    """Cofactor determinant of a batch of 3x3 matrices, in H's own dtype
-    (LAPACK has no extended-precision path)."""
-    return (H[..., 0, 0] * (H[..., 1, 1] * H[..., 2, 2]
-                            - H[..., 1, 2] * H[..., 2, 1])
-            - H[..., 0, 1] * (H[..., 1, 0] * H[..., 2, 2]
-                              - H[..., 1, 2] * H[..., 2, 0])
-            + H[..., 0, 2] * (H[..., 1, 0] * H[..., 2, 1]
-                              - H[..., 1, 1] * H[..., 2, 0]))
-
-
 def hermitian_to_metric(H: np.ndarray) -> MetricTensor:
     """Riemannian metric of a positive hermitian form, J-standard frame.
 
@@ -395,7 +377,7 @@ def hermitian_to_metric(H: np.ndarray) -> MetricTensor:
     H = np.asarray(H, complex)
     m1 = H[..., 0, 0].real
     m2 = (H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]).real
-    m3 = _det3(H).real
+    m3 = mi._det3(H).real
     if min(np.min(m1), np.min(m2), np.min(m3)) <= 0:
         raise DegenerateMetric("hermitian form is not positive definite")
     P, Q = H.real, H.imag
@@ -455,7 +437,7 @@ class ACGeometry:
         whether the Ricci check is measurable at small radii.
         """
         if extended:
-            return np.log(_det3(self.hermitian_at(
+            return np.log(mi._det3(self.hermitian_at(
                 np.asarray(x, np.longdouble))).real)
         return np.log(np.linalg.det(self.hermitian_at(x)).real)
 
@@ -465,14 +447,14 @@ class ACGeometry:
         return hermitian_to_metric(self.hermitian_at(x))
 
     def fields_on_target(self, x: np.ndarray) -> FieldSample:
-        """(g_Y, omega_Y, Omega_Y, J) in the ambient coordinates of the
+        """(g_Y, omega_Y, Omega_Y) in the ambient coordinates of the
         resolved space away from the exceptional divisor (requires r > 0)."""
         H = self.hermitian_at(x)
         g = hermitian_to_metric(H)
         om = hermitian_to_omega(H)
         shape = np.asarray(x, float).shape[:-1]
         Om = KForm(6, 3, np.broadcast_to(FLAT_OMEGA3.coeffs, shape + (20,)))
-        return FieldSample(g, om, Om, LinearMap(np.broadcast_to(J_STANDARD, shape + (6, 6))))
+        return FieldSample(g, om, Om)
 
     # -- charts ----------------------------------------------------------
     def darboux_radius(self, r):
@@ -508,9 +490,7 @@ class ACGeometry:
                                       D, tgt.g.components, D))
         om = pullback(L, tgt.omega)
         Om = pullback(L, tgt.Omega)
-        Di = np.linalg.inv(D)
-        J = LinearMap(np.einsum("...ij,...jk,...kl->...il", Di, np.broadcast_to(J_STANDARD, Di.shape), D))
-        return FieldSample(g, om, Om, J)
+        return FieldSample(g, om, Om)
 
     # -- closed-form correction data -------------------------------------
     def correction_B(self, x: np.ndarray) -> KForm:
@@ -525,13 +505,10 @@ class ACGeometry:
         """d(correction_B), exact: c(r) Omega + c'(r) r dr ^ iota_dr Omega / 3."""
         return KForm(6, 3, self.correction_terms(x)[0])
 
-    def dr_wedge_B(self, x: np.ndarray) -> KForm:
-        """dr ^ correction_B = c(r) r dr ^ iota_dr Omega / 3."""
-        return KForm(6, 3, self.correction_terms(x)[1])
-
     def correction_terms(self, x: np.ndarray) -> tuple:
-        """Coefficients of (correction_dB, dr_wedge_B) at x, sharing one
-        |x| and one dr ^ iota_dr Omega."""
+        """Coefficients of (correction_dB, dr ^ correction_B) at x, sharing
+        one |x| and one dr ^ iota_dr Omega; dr ^ correction_B = c(r) r dr ^
+        iota_dr Omega / 3."""
         r, xhat = _polar(x)
         a6 = self.resolution_scale ** 6
         c = self._profile_c(r)
@@ -659,13 +636,10 @@ class SyntheticPerturbation:
         xhat ^ b, since dr ^ q^*b = xhat ^ b / r^2."""
         return KForm(6, 3, self.correction_terms(x)[0])
 
-    def dr_wedge_A(self, x: np.ndarray) -> KForm:
-        """dr ^ primitive_A = amplitude r^(nu+1) xhat ^ b."""
-        return KForm(6, 3, self.correction_terms(x)[1])
-
     def correction_terms(self, x: np.ndarray, r=None) -> tuple:
-        """Coefficients of (dA, dr_wedge_A) at x, sharing one |x| (or the
-        given r) and one xhat ^ b."""
+        """Coefficients of (dA, dr ^ primitive_A) at x, sharing one |x| (or
+        the given r) and one xhat ^ b; dr ^ primitive_A = amplitude
+        r^(nu+1) xhat ^ b."""
         r, xhat = _polar(x, r)
         xhat_b = _table_product(xhat, self._wedge_b)
         return ((self.amplitude * (self.nu + 3.0) * r ** self.nu)[..., None]
@@ -685,9 +659,6 @@ class ConicalSingularityData:
     def chart(self, x: np.ndarray) -> np.ndarray:
         """Cone coordinates -> torus coordinates (valid for small |x|)."""
         return self.center + np.asarray(x, float)
-
-    def fields_at(self, x: np.ndarray) -> FieldSample:
-        return self.cone.fields_at(x)
 
     def synthetic_perturbation(self, nu: float, amplitude: float,
                                seed: int = 0) -> SyntheticPerturbation:

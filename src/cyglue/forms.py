@@ -92,10 +92,6 @@ class KForm:
     def is_complex(self):
         return self.coeffs.dtype.kind == "c"
 
-    @property
-    def batch_shape(self):
-        return self.coeffs.shape[:-1]
-
     def real(self):
         return KForm(self.dim, self.degree, np.real(self.coeffs).copy())
 
@@ -125,9 +121,6 @@ class KForm:
     def __sub__(self, other):
         self._check_mate(other)
         return KForm(self.dim, self.degree, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return KForm(self.dim, self.degree, -self.coeffs)
 
     def __mul__(self, scalar):
         s = np.asarray(scalar)
@@ -175,16 +168,12 @@ class MetricTensor:
     def inverse(self):
         return np.linalg.inv(self.components)
 
-    def sqrt_det(self):
-        return np.sqrt(np.linalg.det(self.components))
-
 
 @dataclass(frozen=True)
 class LinearMap:
     """Endomorphism of R^n acting on vectors, matrix shape (..., n, n)."""
 
     matrix: np.ndarray
-    role: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -193,13 +182,6 @@ class LinearMap:
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise DimensionMismatch("linear map must be square")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[-1]
-
-    def __call__(self, v):
-        return np.einsum("...ij,...j->...i", self.matrix, np.asarray(v))
 
 
 # ---------------------------------------------------------------------------

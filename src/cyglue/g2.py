@@ -105,15 +105,11 @@ class G2Structure:
 
 @dataclass(frozen=True)
 class TorsionSample:
-    """Algebraic torsion carrier psi = phi - *_g chi of a product pair.
-
-    The finite-difference d*phi proxy is attached by chart-level analysis
-    when one is available; pointwise data leaves it None.
-    """
+    """Algebraic torsion carrier psi = phi - *_g chi of a product pair,
+    with its pointwise norm."""
 
     psi: KForm
     psi_norm: np.ndarray
-    dstar_phi_proxy: Optional[float] = None
 
 
 def build_phi_chi(omega: KForm, theta1: KForm, theta2: KForm):

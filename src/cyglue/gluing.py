@@ -35,8 +35,8 @@ from . import su3
 from .analysis import (central_differences, region_norms, riemann_ricci,
                        shell_grid, unit_directions)
 from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
-                    SyntheticPerturbation, calabi_ale_o3, quotient_cone_z3,
-                    t6_z3_orbifold_patch)
+                    SyntheticPerturbation, calabi_ale_o3, hermitian_to_omega,
+                    quotient_cone_z3, t6_z3_orbifold_patch)
 from .errors import ConfigInvalid, RateOutOfRange
 from .forms import KForm, MetricTensor, lower_tensor_norm
 
@@ -54,24 +54,27 @@ def default_alpha(nu: float) -> float:
     return 0.5 * (6.0 + nu) / (3.0 + nu)
 
 
+# the outer chart scale eps (1 in model units) and the resolved-side chart
+# radius R of GluingConfig's admissibility check
+_EPS = 1.0
+_R = 1.1
+
+
 @dataclass(frozen=True)
 class GluingConfig:
     """Parameters of one glued family member.
 
     t scales the resolved space, alpha places the neck at (t^alpha,
-    2 t^alpha), nu is the conical data rate, lam the AC rate. eps is the
-    outer chart scale (fixed to 1 in model units) and R the resolved-side
-    chart radius; admissibility demands t R < t^alpha < 2 t^alpha < eps.
-    conical_amplitude scales the synthetic conical perturbation used by
-    the default scan geometry.
+    2 t^alpha), nu is the conical data rate, lam the AC rate.
+    Admissibility demands t R < t^alpha < 2 t^alpha < eps for the chart
+    constants R = _R and eps = _EPS. conical_amplitude scales the
+    synthetic conical perturbation used by the default scan geometry.
     """
 
     t: float
     nu: float = 2.0
     lam: float = -6.0
     alpha: Optional[float] = None
-    eps: float = 1.0
-    R: float = 1.1
     conical_amplitude: float = 0.003
     n_radial: int = 6
     link_level: tuple = (4, 4, 4)
@@ -90,14 +93,14 @@ class GluingConfig:
         if self.lam >= -3.0:
             raise ConfigInvalid("AC rate lam must be below -3")
         ta = self.t ** self.alpha
-        if not self.t * self.R < ta:
+        if not self.t * _R < ta:
             raise ConfigInvalid(
-                f"inner seam violated: t R = {self.t * self.R:.4g} must be "
+                f"inner seam violated: t R = {self.t * _R:.4g} must be "
                 f"below t^alpha = {ta:.4g}")
-        if not 2.0 * ta < self.eps:
+        if not 2.0 * ta < _EPS:
             raise ConfigInvalid(
                 f"outer seam violated: 2 t^alpha = {2 * ta:.4g} must be "
-                f"below eps = {self.eps:.4g}")
+                f"below eps = {_EPS:.4g}")
 
     @property
     def neck_bounds(self) -> tuple:
@@ -177,7 +180,7 @@ class GluedStructure:
             raise ConfigInvalid(
                 "sample inside the resolved core; the shared chart starts "
                 f"at r = {t * self.ac.resolution_scale:.4g}")
-        if np.any(r >= self.config.eps):
+        if np.any(r >= _EPS):
             raise ConfigInvalid("sample outside the outer chart scale eps")
         return x, r
 
@@ -229,7 +232,6 @@ class GluedStructure:
         inner = r < lo
         if not np.any(inner):
             return KForm(6, 2, flat)
-        from .cones import hermitian_to_omega
         ale = hermitian_to_omega(self.ac.hermitian_at(x / self.config.t))
         return KForm(6, 2, np.where(inner[..., None], ale.coeffs, flat))
 
@@ -355,6 +357,20 @@ class DefectRow:
 
 SCAN_COLUMNS = tuple(f.name for f in fields(DefectRow))
 
+# the scan columns read off region_norms: (neck field, norm, ledger family)
+_NORM_COLUMNS = {
+    "Omega_defect_c0": ("Omega_defect", "c0", "c0"),
+    "Omega_defect_l2": ("Omega_defect", "l2", "l2"),
+    "omega_c0": ("omega", "c0", "c0"),
+    "omega_l2": ("omega", "l2", "l2"),
+    "im_Omega_c0": ("im_Omega", "c0", "c0"),
+    "im_Omega_l2": ("im_Omega", "l2", "l2"),
+    "grad_omega_c0": ("grad_omega", "c0", "grad"),
+    "grad_omega_l12": ("grad_omega", "l12", "l12"),
+    "grad_omega_t_l12": ("grad_metric", "l12", "l12"),
+    "grad_re_Omega_l12": ("grad_re_Omega", "l12", "l12"),
+}
+
 
 @dataclass(frozen=True)
 class DefectScan:
@@ -469,16 +485,8 @@ def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
     hess_c0 = float(np.max(np.sqrt(np.sum(hess ** 2, axis=(1, 2, 3)))))
     return DefectRow(
         t=config.t,
-        Omega_defect_c0=norms["Omega_defect"].c0,
-        Omega_defect_l2=norms["Omega_defect"].l2,
-        omega_c0=norms["omega"].c0,
-        omega_l2=norms["omega"].l2,
-        im_Omega_c0=norms["im_Omega"].c0,
-        im_Omega_l2=norms["im_Omega"].l2,
-        grad_omega_c0=norms["grad_omega"].c0,
-        grad_omega_l12=norms["grad_omega"].l12,
-        grad_omega_t_l12=norms["grad_metric"].l12,
-        grad_re_Omega_l12=norms["grad_re_Omega"].l12,
+        **{name: getattr(norms[neck], norm)
+           for name, (neck, norm, _) in _NORM_COLUMNS.items()},
         hess_omega_c0=hess_c0,
         neck_volume=norms["Omega_defect"].volume,
         curvature_sup=curvature_c1 / config.t ** 2,
@@ -533,13 +541,8 @@ _FAMILY_OFFSETS = {"c0": Fraction(0), "l2": Fraction(3),
 
 # the family of each measured scan column
 _MEASURED_REQUIREMENTS = {
-    "Omega_defect_c0": "c0", "Omega_defect_l2": "l2",
-    "omega_c0": "c0", "im_Omega_c0": "c0",
-    "omega_l2": "l2", "im_Omega_l2": "l2",
-    "grad_omega_c0": "grad", "grad_omega_l12": "l12",
-    "grad_omega_t_l12": "l12", "grad_re_Omega_l12": "l12",
-    "hess_omega_c0": "hess",
-}
+    **{name: family for name, (_, _, family) in _NORM_COLUMNS.items()},
+    "hess_omega_c0": "hess"}
 
 _IMPLICATION_TRIALS = 100
 

@@ -67,18 +67,14 @@ class SplitForm:
 class RadialPrimitive:
     """Primitive sigma with d sigma = eta from a radial homotopy.
 
-    direction "from_zero" integrates along rays from the tip (conical
-    data, positive rate); "from_infinity" integrates from the far end (AC
-    data, rate below -degree). The evaluator maps points to KForm batches
-    of one degree less than the input form. exact marks data homogeneous
-    of degree decay_rate, whose primitive at x reads the value of eta at x
-    alone (from_value).
+    The evaluator maps points to KForm batches of one degree less than the
+    input form. exact marks data homogeneous of degree decay_rate, whose
+    primitive at x reads the value of eta at x alone (from_value).
     """
 
     evaluator: Callable
     degree: int
     decay_rate: float
-    direction: str
     exact: bool
 
     def __call__(self, x):
@@ -213,7 +209,7 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
         return KForm(6, k - 1, val)
 
     prim = RadialPrimitive(evaluator=sigma, degree=k, decay_rate=decay_rate,
-                           direction=direction, exact=exact)
+                           exact=exact)
     return prim
 
 

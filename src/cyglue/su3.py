@@ -23,7 +23,7 @@ import numpy as np
 from . import _multiindex as mi
 from .errors import DimensionMismatch, NotPositive, NotStable
 from .forms import (KForm, LinearMap, MetricTensor, form_norm,
-                    gershgorin_certified, pullback, wedge)
+                    gershgorin_certified, lower_tensor_norm, pullback, wedge)
 
 __all__ = [
     "SU3Structure", "NearlyCYReport", "Prop32Record",
@@ -170,7 +170,7 @@ def acs_from_theta1(theta1: KForm) -> LinearMap:
     _check_theta(theta1)
     J, _, stable, _, _ = _acs_batch(theta1.coeffs)
     _raise_failures({"stable": stable})
-    return LinearMap(J, role="almost complex structure")
+    return LinearMap(J)
 
 
 def theta2_prime(J: LinearMap, theta1: KForm) -> KForm:
@@ -302,7 +302,7 @@ def recover_su3(omega: KForm, Omega: KForm, eps0: float = 0.2):
     out = _recover_batch(omega.coeffs, Omega_c)
     _raise_failures(out)
 
-    J = LinearMap(out["J"], role="almost complex structure")
+    J = LinearMap(out["J"])
     omega_p = KForm(6, 2, out["omega_prime"])
     t2p = KForm(6, 3, out["theta2_prime"])
     g = MetricTensor(6, out["g"], _checked=True)
@@ -336,7 +336,6 @@ def check_prop32(omega: KForm, Omega: KForm,
     g_ref = ref.g_M
     eps = np.maximum(form_norm(g_ref, omega - omega_ref),
                      form_norm(g_ref, Omega - Omega_ref))
-    from .forms import lower_tensor_norm
     d_g = lower_tensor_norm(g_ref, cur.g_M.components - g_ref.components, 2)
     ginv_diff = cur.g_M.inverse() - g_ref.inverse()
     # fully contravariant comparison: contract both slots with g_ref itself

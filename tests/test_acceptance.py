@@ -7,10 +7,14 @@ suites cone-verify, ale-verify, moser and glue-scan, so each check and
 its tolerance is written once, in cyglue.cli; the others check against
 oracle tables, exact arithmetic or a rerun. Tolerances are the committed
 ones and must not be loosened. A frozen-row regression guard shares the scan
-fixture so numeric drift in the full configuration fails loudly.
+fixture so numeric drift in the full configuration fails loudly, and every
+value of the full scan and of criterion 9's scan is compared with the
+reference CSV files under tests/data.
 """
 
+import csv
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,14 @@ for _k in range(3):
     J0[2 * _k, 2 * _k + 1] = -1.0
 
 SCAN_TS = (0.4, 0.283, 0.2, 0.141, 0.1)
+C9_CONFIG = gl.GluingConfig(t=0.1, n_radial=2, link_level=(2, 2, 2),
+                            n_sup_dirs=4)
+C9_TS = (0.4, 0.25, 0.16, 0.1)
+
+DATA = Path(__file__).parent / "data"
+# a refactor may move scan values by rounding only; the largest move a
+# reordered sum has caused is 4.3e-16 relative
+REFERENCE_RTOL = 1e-12
 
 
 def _verdict(num, label, ok, elapsed, budget, detail):
@@ -201,6 +213,28 @@ def test_frozen_reference_row(full_scan):
         assert getattr(row, name) == pytest.approx(want, rel=1e-6), name
 
 
+def _assert_matches_reference(scan, name):
+    """Every value of scan within REFERENCE_RTOL of the reference CSV; a
+    failure names each moved column with its largest relative move."""
+    with open(DATA / name, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == gl.SCAN_COLUMNS
+    want = np.array(rows, float)
+    got = np.array([row.values() for row in scan.rows])
+    assert got.shape == want.shape
+    moved = np.max(np.abs(got - want) / np.abs(want), axis=0)
+    bad = {c: float(m) for c, m in zip(header, moved)
+           if not m <= REFERENCE_RTOL}
+    assert not bad, bad
+
+
+def test_scans_match_reference(full_scan):
+    _, scan, _ = full_scan
+    _assert_matches_reference(scan, "scan_default.csv")
+    _assert_matches_reference(gl.defect_scan(C9_CONFIG, C9_TS),
+                              "scan_c9.csv")
+
+
 def test_c8_exact_inequality_implication():
     start = time.perf_counter()
     ok = gl.exponent_implication_check(100, seed=0)
@@ -211,12 +245,9 @@ def test_c8_exact_inequality_implication():
 
 def test_c9_scan_determinism(tmp_path):
     start = time.perf_counter()
-    config = gl.GluingConfig(t=0.1, n_radial=2, link_level=(2, 2, 2),
-                             n_sup_dirs=4)
-    ts = [0.4, 0.25, 0.16, 0.1]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    gl.defect_scan(config, ts).to_csv(first)
-    gl.defect_scan(config, ts, workers=2).to_csv(second)
+    gl.defect_scan(C9_CONFIG, C9_TS).to_csv(first)
+    gl.defect_scan(C9_CONFIG, C9_TS, workers=2).to_csv(second)
     elapsed = time.perf_counter() - start
     ok = first.read_bytes() == second.read_bytes()
     _verdict(9, "repeated scans byte-identical", ok, elapsed, None,

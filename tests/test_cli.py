@@ -1,6 +1,7 @@
 """Batch-runner behaviour: config plumbing, reports, exit codes."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +303,15 @@ class TestReportShape:
             == [(1.0, True), (None, False), (None, False)]
         assert payload["fitted"]["slopes"] == [1.5, None]
         assert not payload["overall_pass"]
+
+    def test_numpy_scalars_and_fractions_serialize(self, tmp_path):
+        report = cli.RunReport(command="thm52", config={}, seed=0)
+        report.extras.update({"ratio": Fraction(3, 5), "count": np.int64(7),
+                              "single": np.float32(0.5)})
+        target = cli.write_report(report, str(tmp_path))
+        extras = json.loads(target.read_text())["extras"]
+        assert extras == {"ratio": "3/5", "count": 7, "single": 0.5}
+        assert type(extras["count"]) is int
 
     def test_check_record_fields(self, tmp_path):
         cli.main(["pointwise", "--out", str(tmp_path)])

@@ -93,7 +93,6 @@ class TestTorsion:
     def test_flat_pair_torsion_free(self):
         ts = torsion_psi(OM0, RE0 + 1j * IM0)
         assert float(ts.psi_norm) <= 1e-11
-        assert ts.dstar_phi_proxy is None
 
     def test_generic_genuine_structures_torsion_free(self):
         rng = np.random.default_rng(35)

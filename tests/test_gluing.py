@@ -62,7 +62,7 @@ class TestGluingConfig:
         dict(t=0.1, nu=-1.0),
         dict(t=0.1, lam=-2.0), dict(t=0.1, lam=-3.0),
         dict(t=0.9),                 # t R crosses the inner seam
-        dict(t=0.1, eps=0.3),        # neck sticks out of the outer chart
+        dict(t=0.1, alpha=0.2),      # neck sticks out of the outer chart
     ])
     def test_rejects_inadmissible(self, kw):
         with pytest.raises(ConfigInvalid):
@@ -219,7 +219,7 @@ class TestGluedStructure:
         assert np.sum(Fp != 0.0) >= 8
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         got_seam = (Fp * t ** (-alpha))[:, None] * (
-            pert.dr_wedge_A(x).coeffs - t * ac.dr_wedge_B(y).coeffs)
+            pert.correction_terms(x)[1] - t * ac.correction_terms(y)[1])
         assert np.max(np.abs(got_seam - seam)) \
             <= 1e-13 * np.max(np.abs(seam))
 
@@ -591,7 +591,8 @@ class TestExponentLedger:
         assert all(v.exact.values())
 
     def test_badly_placed_neck_fails_ledger(self):
-        cfg = gl.GluingConfig(t=0.1, alpha=0.05, eps=2.0)
+        # 2 t^alpha = 0.89 keeps the neck inside the outer chart
+        cfg = gl.GluingConfig(t=1e-7, alpha=0.05)
         v = gl.thm52_check(None, cfg)
         assert not v.exact["c0_conical"]
         assert not v.all_pass
