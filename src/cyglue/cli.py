@@ -9,8 +9,8 @@ thm52 (exact rational ledger only), list-geometries (registry catalogue).
 A run reads one JSON config document, applies command-line overrides for
 top-level scalar fields, executes the suite, prints one line per check,
 and writes ``report.json`` (plus ``scan.csv`` for glue-scan) into the
-output directory. Worker count resolves flag, then the CYGLUE_WORKERS
-environment variable, then the config file, then 1.
+output directory. Worker count resolves flag, then the config file,
+then 1.
 
 Report schema, version 1: command, config echo, seed, package version,
 wall time, one record per check carrying (name, measured, predicted,
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -411,15 +410,6 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
     unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    # worker precedence: flag, then environment, then config file
-    if overrides.get("workers") is None:
-        env = os.environ.get("CYGLUE_WORKERS")
-        if env is not None:
-            try:
-                data["workers"] = int(env)
-            except ValueError:
-                raise ConfigInvalid(
-                    f"CYGLUE_WORKERS must be an integer, got {env!r}")
     if data.get("workers") is None:
         data["workers"] = 1
     if "command" not in data:
@@ -453,17 +443,16 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, Fraction):
         return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _finite(obj):
-    """obj with every non-finite number replaced by None: strict JSON has
-    no NaN or Infinity."""
-    if isinstance(obj, np.ndarray):
+    """obj with numpy arrays and scalars as Python values and every
+    non-finite number replaced by None: strict JSON has no NaN or
+    Infinity."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
     if isinstance(obj, float):
         return obj if np.isfinite(obj) else None

@@ -10,6 +10,7 @@ arrays of shape (..., 6).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -212,26 +213,6 @@ def _patch_points(axis: int, rho1, a1, rho2, a2, psi):
     return np.exp(1j * psi)[..., None] * w / n[..., None]
 
 
-def _patch_density(axis: int, rho1, a1, rho2, a2, psi):
-    """sqrt(det J^T J) of the patch map, with analytic Jacobian columns."""
-    others = [k for k in range(3) if k != axis]
-    gam = _patch_points(axis, rho1, a1, rho2, a2, psi)
-    n = np.sqrt(1.0 + rho1 ** 2 + rho2 ** 2)
-    cols = []
-    for which, (rho, ang) in enumerate(((rho1, a1), (rho2, a2))):
-        slot = others[which]
-        d_rho = -gam * (rho / n ** 2)[..., None]
-        unit = np.zeros(gam.shape, complex)
-        unit[..., slot] = np.exp(1j * (psi + ang)) / n
-        d_rho = d_rho + unit
-        d_ang = np.zeros(gam.shape, complex)
-        d_ang[..., slot] = 1j * gam[..., slot]
-        cols.extend([d_rho, d_ang])
-    cols.append(1j * gam)
-    J = np.stack([as_real(c) for c in cols], axis=-1)   # (..., 6, 5)
-    return np.sqrt(np.linalg.det(np.einsum("...ia,...ib->...ab", J, J)))
-
-
 @lru_cache(maxsize=8)
 def _link_nodes(psi_period: float, n_rho: int, n_ang: int, n_psi: int):
     t, wt = np.polynomial.legendre.leggauss(n_rho)
@@ -242,19 +223,15 @@ def _link_nodes(psi_period: float, n_rho: int, n_ang: int, n_psi: int):
     psi = psi_period * np.arange(n_psi) / n_psi
     w_psi = psi_period / n_psi
 
-    pts, wts = [], []
     grid = np.meshgrid(rho, ang, rho, ang, psi, indexing="ij")
     r1, A1, r2, A2, P = (a.ravel() for a in grid)
-    base_w = (np.einsum("a,b->ab", w_rho, np.ones(n_ang))[:, :, None, None, None]
-              * np.einsum("c,d->cd", w_rho, np.ones(n_ang))[None, None, :, :, None]
-              * np.ones(n_psi)[None, None, None, None, :]).ravel() * (w_ang ** 2 * w_psi)
-    for axis in range(3):
-        gam = _patch_points(axis, r1, A1, r2, A2, P)
-        dens = _patch_density(axis, r1, A1, r2, A2, P)
-        pts.append(as_real(gam))
-        wts.append(base_w * dens)
-    points = np.concatenate(pts, axis=0)
-    weights = np.concatenate(wts, axis=0)
+    w_rho2 = np.multiply.outer(w_rho, w_rho)[:, None, :, None, None]
+    w_prod = np.broadcast_to(w_rho2, grid[0].shape).ravel() * (w_ang ** 2 * w_psi)
+    # times the Fubini-Study density rho1 rho2 / n^6 (see link_quadrature)
+    w_patch = w_prod * r1 * r2 / (1.0 + r1 ** 2 + r2 ** 2) ** 3
+    points = np.concatenate([as_real(_patch_points(axis, r1, A1, r2, A2, P))
+                             for axis in range(3)])
+    weights = np.tile(w_patch, 3)
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
@@ -269,6 +246,13 @@ def link_quadrature(cone: ConeGeometry, n_rho: int = 12, n_ang: int = 8,
     nodes radially and uniform nodes in the periodic angles.  The deck
     quotient shrinks the psi period, so weights integrate functions over
     the quotient link directly.
+
+    A patch point is e^{i psi} (1, rho1 e^{i a1}, rho2 e^{i a2}) / n with
+    n^2 = 1 + rho1^2 + rho2^2 (coordinates permuted to put the 1 on the
+    patch's axis). S^5 -> CP^2 is a Riemannian submersion whose psi fibres
+    have unit speed, so the link's volume density is the Fubini-Study
+    density rho1 rho2 / n^6 on CP^2 in polar affine coordinates, times
+    d psi; every patch carries the same weights.
     """
     return _link_nodes(cone.psi_period, n_rho, n_ang, n_psi)
 
@@ -553,35 +537,18 @@ def calabi_ale_o3(resolution_scale: float = 1.0,
 # torus orbifold patches
 
 @lru_cache(maxsize=1)
-def _t6_fixed_points_cached():
-    # per-factor fixed points of w -> zeta w on C/(Z + Z zeta)
-    zeta = np.exp(2j * np.pi / 3.0)
-    pts = []
-    for p in range(3):
-        for q in range(3):
-            w = (p + q * zeta) / 3.0
-            d = (zeta - 1.0) * w
-            # in the lattice iff integer coordinates in basis (1, zeta)
-            b = (d.imag / zeta.imag)
-            a = d.real - b * zeta.real
-            if abs(a - round(a)) < 1e-12 and abs(b - round(b)) < 1e-12:
-                pts.append(w)
-    assert len(pts) == 3
-    out = np.empty((27, 6))
-    i = 0
-    for w1 in pts:
-        for w2 in pts:
-            for w3 in pts:
-                out[i] = as_real(np.array([w1, w2, w3]))
-                i += 1
-    out.setflags(write=False)
-    return out
-
-
 def t6_fixed_points() -> np.ndarray:
     """All 27 fixed points of z -> zeta z on (C / (Z + Z zeta))^3, as
-    ambient 6-vectors in a fundamental domain."""
-    return _t6_fixed_points_cached()
+    ambient 6-vectors in a fundamental domain.
+
+    Per factor, w = (p + q zeta)/3 is fixed iff (zeta - 1) w lies in the
+    lattice, iff p + q = 0 mod 3: the points (p, q) = (0, 0), (1, 2), (2, 1).
+    """
+    zeta = np.exp(2j * np.pi / 3.0)
+    per_factor = [(p + q * zeta) / 3.0 for p, q in ((0, 0), (1, 2), (2, 1))]
+    out = as_real(np.array(list(itertools.product(per_factor, repeat=3))))
+    out.setflags(write=False)
+    return out
 
 
 def _torus_distance(x: np.ndarray, y: np.ndarray) -> float:

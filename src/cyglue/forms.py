@@ -26,7 +26,7 @@ from .errors import DegenerateMetric, DimensionMismatch
 __all__ = [
     "KForm", "MetricTensor", "LinearMap",
     "wedge", "contract", "hodge_star", "form_norm", "pullback",
-    "lower_tensor_norm", "gershgorin_certified",
+    "lower_tensor_norm", "metric_distances", "gershgorin_certified",
 ]
 
 # Gershgorin margin that certifies an eigenvalue rule without an eigensolve
@@ -290,6 +290,18 @@ def lower_tensor_norm(g: MetricTensor, T: np.ndarray, order: int) -> np.ndarray:
     else:
         q = np.einsum(spec, T, T, *([ginv] * order), optimize=True)
     return np.sqrt(np.maximum(q, 0.0))
+
+
+def metric_distances(g: MetricTensor, g_ref: MetricTensor) -> tuple:
+    """(|g - g_ref|, |g^-1 - g_ref^-1|), both measured with g_ref; the
+    inverses are compared fully contravariantly, each slot contracted with
+    g_ref itself."""
+    d_g = lower_tensor_norm(g_ref, g.components - g_ref.components, 2)
+    dinv = g.inverse() - g_ref.inverse()
+    G = g_ref.components
+    q = np.einsum("...ac,...bd,...ab,...cd->...", G, G, dinv, dinv,
+                  optimize=True)
+    return d_g, np.sqrt(np.maximum(q, 0.0))
 
 
 def gershgorin_certified(a: np.ndarray) -> np.ndarray:

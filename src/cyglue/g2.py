@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _multiindex as mi
 from .errors import DimensionMismatch, NotPositive3Form
-from .forms import KForm, MetricTensor, form_norm, hodge_star, lower_tensor_norm, wedge
+from .forms import KForm, MetricTensor, form_norm, hodge_star, metric_distances, wedge
 
 __all__ = [
     "G2Structure", "TorsionSample",
@@ -140,11 +140,7 @@ def compare_g2(phi: KForm, phi_prime: KForm, g_prime: MetricTensor,
     """
     e1 = form_norm(g_prime, phi - phi_prime)
     g = metric_from_phi(phi)
-    e2 = lower_tensor_norm(g_prime, g.components - g_prime.components, 2)
-    dinv = g.inverse() - g_prime.inverse()
-    gp = g_prime.components
-    q = np.einsum("...ac,...bd,...ab,...cd->...", gp, gp, dinv, dinv)
-    e3 = np.sqrt(np.maximum(q, 0.0))
+    e2, e3 = metric_distances(g, g_prime)
     if chi is None:
         chi = hodge_star(g_prime, phi_prime)
     e4 = form_norm(g_prime, hodge_star(g, phi) - chi)

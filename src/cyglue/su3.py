@@ -23,7 +23,7 @@ import numpy as np
 from . import _multiindex as mi
 from .errors import DimensionMismatch, NotPositive, NotStable
 from .forms import (KForm, LinearMap, MetricTensor, form_norm,
-                    gershgorin_certified, lower_tensor_norm, pullback, wedge)
+                    gershgorin_certified, metric_distances, pullback, wedge)
 
 __all__ = [
     "SU3Structure", "NearlyCYReport", "Prop32Record",
@@ -336,13 +336,7 @@ def check_prop32(omega: KForm, Omega: KForm,
     g_ref = ref.g_M
     eps = np.maximum(form_norm(g_ref, omega - omega_ref),
                      form_norm(g_ref, Omega - Omega_ref))
-    d_g = lower_tensor_norm(g_ref, cur.g_M.components - g_ref.components, 2)
-    ginv_diff = cur.g_M.inverse() - g_ref.inverse()
-    # fully contravariant comparison: contract both slots with g_ref itself
-    q = np.einsum("...ac,...bd,...ab,...cd->...",
-                  g_ref.components, g_ref.components, ginv_diff, ginv_diff,
-                  optimize=True)
-    d_ginv = np.sqrt(np.maximum(q, 0.0))
+    d_g, d_ginv = metric_distances(cur.g_M, g_ref)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(eps > 0, np.maximum(d_g, d_ginv) / np.where(eps > 0, eps, 1.0), np.nan)
     return Prop32Record(d_g, d_ginv, eps, ratio)

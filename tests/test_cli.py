@@ -56,20 +56,11 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigInvalid):
             cli.load_config(None, {})
 
-    def test_env_overrides_file_flag_overrides_env(self, monkeypatch,
-                                                   tmp_path):
+    def test_flag_overrides_file_workers(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "thm52", "workers": 4}))
-        monkeypatch.setenv("CYGLUE_WORKERS", "2")
-        assert cli.load_config(str(cfg), {}).workers == 2
         assert cli.load_config(str(cfg), {"workers": 3}).workers == 3
-        monkeypatch.delenv("CYGLUE_WORKERS")
         assert cli.load_config(str(cfg), {}).workers == 4
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("CYGLUE_WORKERS", "many")
-        with pytest.raises(ConfigInvalid):
-            cli.load_config(None, {"command": "thm52"})
 
     # doc: the config's keys beside "command": "thm52", or the file's
     # whole text when a string, or no file at all when None
@@ -97,9 +88,7 @@ class TestConfigPlumbing:
         ({"command": "cone-verify", "seed": -1}, [], "seed"),
         ({"command": "moser", "nu": 0}, [], "nu"),
     ])
-    def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys,
-                                  monkeypatch):
-        monkeypatch.delenv("CYGLUE_WORKERS", raising=False)
+    def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         if isinstance(doc, dict):
             cfg.write_text(json.dumps({"command": "thm52", **doc}))
@@ -307,11 +296,17 @@ class TestReportShape:
     def test_numpy_scalars_and_fractions_serialize(self, tmp_path):
         report = cli.RunReport(command="thm52", config={}, seed=0)
         report.extras.update({"ratio": Fraction(3, 5), "count": np.int64(7),
-                              "single": np.float32(0.5)})
+                              "single": np.float32(0.5),
+                              "nan32": np.float32("nan"),
+                              "inf32": np.float32("inf")})
+        report.fitted["slope"] = np.float64("-inf")
         target = cli.write_report(report, str(tmp_path))
-        extras = json.loads(target.read_text())["extras"]
-        assert extras == {"ratio": "3/5", "count": 7, "single": 0.5}
-        assert type(extras["count"]) is int
+        written = json.loads(target.read_text())
+        assert written["extras"] == {"ratio": "3/5", "count": 7,
+                                     "single": 0.5, "nan32": None,
+                                     "inf32": None}
+        assert type(written["extras"]["count"]) is int
+        assert written["fitted"] == {"slope": None}
 
     def test_check_record_fields(self, tmp_path):
         cli.main(["pointwise", "--out", str(tmp_path)])

@@ -37,6 +37,38 @@ class TestConeGeometry:
             errs.append(abs(w.sum() - np.pi ** 3))
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("build", [cn.flat_c3_cone, cn.quotient_cone_z3])
+    def test_weights_match_numerical_jacobian(self, build):
+        # oracle: product-rule weight times sqrt(det J^T J) of a
+        # central-difference Jacobian of the patch map
+        cone = build()
+        n = 3
+        pts, wts = cn.link_quadrature(cone, n, n, n)
+        t, wt = np.polynomial.legendre.leggauss(n)
+        rho, ang = 0.5 * (t + 1.0), 2.0 * np.pi * np.arange(n) / n
+        psi = cone.psi_period * np.arange(n) / n
+        grid = [a.ravel() for a in
+                np.meshgrid(rho, ang, rho, ang, psi, indexing="ij")]
+        w1, _, w2, _, _ = np.meshgrid(0.5 * wt, ang, 0.5 * wt, ang, psi,
+                                      indexing="ij")
+        w_prod = ((w1 * w2).ravel() * (2.0 * np.pi / n) ** 2
+                  * cone.psi_period / n)
+        h = 1e-6
+        per_patch = np.split(wts, 3)
+        for axis, w in enumerate(per_patch):
+            cols = []
+            for k in range(5):
+                up = [a + (h if j == k else 0.0) for j, a in enumerate(grid)]
+                dn = [a - (h if j == k else 0.0) for j, a in enumerate(grid)]
+                cols.append(cn.as_real(cn._patch_points(axis, *up))
+                            - cn.as_real(cn._patch_points(axis, *dn)))
+            J = np.stack(cols, axis=-1) / (2.0 * h)
+            dens = np.sqrt(np.linalg.det(np.einsum("nia,nib->nab", J, J)))
+            np.testing.assert_allclose(w, w_prod * dens, rtol=1e-8)
+            np.testing.assert_array_equal(w, per_patch[0])
+            assert np.array_equal(np.split(pts, 3)[axis],
+                                  cn.as_real(cn._patch_points(axis, *grid)))
+
     def test_deck_generator_has_order_three(self):
         deck = cn.quotient_cone_z3().deck
         assert deck.order == 3
