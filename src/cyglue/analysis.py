@@ -8,7 +8,9 @@ norms over cone annuli with the measure r^5 dr dmu.
 
 First derivatives are taken by one stencil, central_differences, and the
 curvatures' second derivatives by second_differences, both with a step
-proportional to the distance from the cone tip. Fields here are plain
+proportional to the distance from the cone tip. The neck scan's
+gradients are exact and need neither; its Hessian is one
+central_differences of the exact gradient. Fields here are plain
 callables from sample points of shape (..., dim) to KForm, MetricTensor,
 or ndarray batches over the same leading axes; they must accept any
 leading batch axes, since central_differences stacks its shifts on a
@@ -36,7 +38,9 @@ __all__ = [
 _SLOT_LETTERS = "abcdefgh"
 # The package's one point budget per field evaluation: region_norms
 # evaluates its nodes, and central_differences its stacked shifts, in
-# chunks of at most this many points, bounding the memory of each call.
+# chunks of at most this many points, bounding the memory of each call;
+# the neck scan forms its exact gradients, 6 partials per point, on
+# smaller sub-chunks (gluing._TANGENT_BLOCK).
 _BLOCK = 384
 
 
@@ -285,8 +289,8 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
     chart is flat with the identity metric, so pointwise norms are
     Euclidean: |coeffs| for a form and the Frobenius norm for a tensor,
     which gives sqrt(k!) |coeffs| for the full tensor of a k-form. The
-    scan's grad_* fields are therefore plain central differences of the
-    coefficients, taken at each block's nodes and their 12 stacked shifts.
+    scan's grad_* fields are therefore the partials of the coefficients,
+    which it computes exactly, with the values, at each block's nodes.
 
     C0 is the maximum over all quadrature nodes; the L12 sum and the
     reported L2 run on doubled radial nodes, and quad_error is the L2

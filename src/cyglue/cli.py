@@ -17,14 +17,19 @@ wall time, one record per check carrying (name, measured, predicted,
 tolerance, pass), fitted constants, command extras, and the overall
 verdict as the conjunction of the checks. The report is strict JSON: a
 non-finite number is written as null, and a check whose measurement is
-not finite fails. Exit status is 0 when every check passes, 1 when some
-check fails, 2 for an invalid configuration.
+not finite fails. glue-scan's extras carry each row's wall time
+(row_wall_s), which never enters scan.csv; a scan whose neck recovery
+raises NotStable or NotPositive writes no scan.csv, and its report holds
+a failed neck_recovery check and extras["error"] with the exception's
+type, message and sample_index. Exit status is 0 when every check
+passes, 1 when some check fails, 2 for an invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -37,7 +42,7 @@ import numpy as np
 from . import __version__, cones as cn, g2, gluing as gl, su3
 from . import analysis as an
 from . import moser as mo
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NotPositive, NotStable
 from .forms import KForm, hodge_star, pullback, wedge
 
 SCHEMA_VERSION = 1
@@ -312,7 +317,16 @@ def _ledger_extras(verdict: gl.Thm52Verdict) -> dict:
 
 def _run_glue_scan(config: RunConfig, report: RunReport):
     template = _glue_config(config)
-    scan = gl.defect_scan(template, config.t_list, workers=config.workers)
+    try:
+        scan = gl.defect_scan(template, config.t_list,
+                              workers=config.workers)
+    except (NotStable, NotPositive) as err:
+        # no row to fit: the report records the failed recovery instead
+        _check(report.checks, "neck_recovery", 0.0, 1.0, 0.0)
+        report.extras["error"] = {"type": type(err).__name__,
+                                  "message": str(err),
+                                  "sample_index": err.sample_index}
+        return
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "scan.csv"
@@ -326,6 +340,7 @@ def _run_glue_scan(config: RunConfig, report: RunReport):
     report.extras.update({
         "csv_path": str(csv_path),
         "rows": len(scan.rows),
+        "row_wall_s": list(scan.row_wall_s),
         **_ledger_extras(verdict),
         # not measured: scaling a metric by t^2 scales geodesics by t
         "injectivity_radius": "t * delta(g_Y) by homothety; no numerical "
@@ -432,8 +447,13 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigInvalid(
                 f"{key} must hold {kind.__name__} values, got {value!r}")
         data[key] = tuple(map(kind, value)) if is_list else kind(value)
+        if kind is float and not all(math.isfinite(v) for v in items):
+            raise ConfigInvalid(f"{key} must be finite, got {value!r}")
         if key in _POSITIVE_KEYS and not all(v > 0 for v in items):
             raise ConfigInvalid(f"{key} must be positive, got {value!r}")
+        if key == "fit_slack" and value < 0:
+            raise ConfigInvalid(f"fit_slack must be nonnegative, got "
+                                f"{value!r}")
         if key == "seed" and value < 0:
             raise ConfigInvalid(f"seed must be nonnegative, got {value!r}")
         if key == "link_level" and len(value) != 3:

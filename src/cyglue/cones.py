@@ -102,7 +102,19 @@ def _polar(x: np.ndarray, r=None) -> tuple:
     return r, x / r[..., None]
 
 
+def _symmetrized_radial(radial: np.ndarray) -> np.ndarray:
+    """The table of the x-partials of x ^ iota_x of a form, from its
+    e_i ^ iota_{e_j} table: row j holds e_k ^ iota_{e_j} + e_j ^ iota_{e_k}
+    for k = 0..5, so that with the product reshaped to (..., 6, cols)
+
+        d_k (x ^ iota_x form) = |x| _table_product(xhat, table)[..., k, :].
+    """
+    R = radial.view(np.complex128).reshape(6, 6, -1)
+    return _real_table((R + R.transpose(1, 0, 2)).reshape(6, -1))
+
+
 _, _IOTA_OMEGA3, _RADIAL_OMEGA3 = _frame_tables(FLAT_OMEGA3)
+_SYM_RADIAL_OMEGA3 = _symmetrized_radial(_RADIAL_OMEGA3)
 
 J_STANDARD = np.zeros((6, 6))
 for _k in range(3):
@@ -502,6 +514,29 @@ class ACGeometry:
                 + (cp * r / 3.0)[..., None] * radial,
                 (c * r / 3.0)[..., None] * radial)
 
+    def correction_partials(self, x: np.ndarray) -> tuple:
+        """x-partials d_k of correction_terms(x), at [..., k, :], in closed
+        form: with P = x ^ iota_x Omega and S_k = d_k P / r,
+
+            d_k dB = xhat_k (c' Omega + (c'' r - c') P / (3 r^2)) + c' S_k / 3,
+            d_k (dr ^ B) = xhat_k (c' r - c) P / (3 r^2) + c S_k / 3.
+        """
+        r, xhat = _polar(x)
+        a6 = self.resolution_scale ** 6
+        root = np.sqrt(1.0 - a6 / r ** 6)
+        c = root - 1.0
+        cp = 3.0 * a6 / (r ** 7 * root)
+        cpp = -21.0 * a6 / (r ** 8 * root) - 9.0 * a6 ** 2 / (r ** 14 * root ** 3)
+        radial = _radial_wedge(xhat, _RADIAL_OMEGA3)
+        S = _table_product(xhat, _SYM_RADIAL_OMEGA3).reshape(
+            xhat.shape[:-1] + (6, 20))
+        along = xhat[..., :, None]
+        return (along * (cp[..., None] * FLAT_OMEGA3.coeffs
+                         + ((cpp * r - cp) / 3.0)[..., None] * radial)[..., None, :]
+                + (cp / 3.0)[..., None, None] * S,
+                along * (((cp * r - c) / 3.0)[..., None] * radial)[..., None, :]
+                + (c / 3.0)[..., None, None] * S)
+
     def _profile_c(self, r):
         a6 = self.resolution_scale ** 6
         return np.sqrt(1.0 - a6 / np.asarray(r, float) ** 6) - 1.0
@@ -612,6 +647,20 @@ class SyntheticPerturbation:
         return ((self.amplitude * (self.nu + 3.0) * r ** self.nu)[..., None]
                 * xhat_b,
                 (self.amplitude * r ** (self.nu + 1.0))[..., None] * xhat_b)
+
+    def correction_partials(self, x: np.ndarray, r=None) -> tuple:
+        """x-partials d_k of correction_terms(x, r), at [..., k, :], in
+        closed form from dA = amplitude (nu+3) r^(nu-1) x ^ b and
+        dr ^ primitive_A = amplitude r^nu x ^ b, with the rows e_k ^ b of
+        the same wedge table."""
+        r, xhat = _polar(x, r)
+        along = xhat[..., :, None] * _table_product(
+            xhat, self._wedge_b)[..., None, :]
+        e_b = self._wedge_b.view(np.complex128)
+        a, nu = self.amplitude, self.nu
+        return ((a * (nu + 3.0) * r ** (nu - 1.0))[..., None, None]
+                * ((nu - 1.0) * along + e_b),
+                (a * r ** nu)[..., None, None] * (nu * along + e_b))
 
 
 @dataclass(frozen=True)

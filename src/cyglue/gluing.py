@@ -16,7 +16,9 @@ carried by Omega_t alone and measured against the cone metric.
 Scan rows collect neck norms of the defect, of the structure recovered
 from Omega_t, and of its first two derivatives, then fit t-exponents and
 compare them with the rational inequality ledger that the existence
-argument needs.
+argument needs. The first derivatives are exact: Omega_t_partials in
+closed form, pushed through the recovery in forward mode
+(su3._recover_tangent); the second are one central difference of them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -43,7 +46,7 @@ from .forms import KForm, MetricTensor, lower_tensor_norm
 __all__ = [
     "GluingConfig", "GluedStructure", "NeckReport",
     "DefectRow", "DefectScan", "Thm52Verdict",
-    "cutoff_F", "cutoff_F_prime", "build_glued",
+    "cutoff_F", "cutoff_F_prime", "cutoff_F_second", "build_glued",
     "nearly_cy_on_neck", "defect_scan", "thm52_check",
     "exponent_implication_check", "SCAN_COLUMNS",
 ]
@@ -120,36 +123,45 @@ class GluingConfig:
 # ---------------------------------------------------------------------------
 # cutoff
 
-def _bump(x):
+def _bump_jet(x):
+    """(b, b', b'') for b(x) = exp(-1/x) where x > 0 and 0 elsewhere."""
     x = np.asarray(x, float)
-    out = np.zeros_like(x)
+    b, bp, bpp = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
+    xp = x[pos]
+    e = np.exp(-1.0 / xp)
+    b[pos] = e
+    bp[pos] = e / xp ** 2
+    bpp[pos] = e * (1.0 - 2.0 * xp) / xp ** 4
+    return b, bp, bpp
 
 
-def _bump_prime(x):
-    x = np.asarray(x, float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
-    return out
+def _cutoff_jet(s):
+    """(F, F', F'') of cutoff_F = p / (p + q), p = b(s - 1), q = b(2 - s),
+    from one evaluation of each bump."""
+    p, pp, ppp = _bump_jet(np.asarray(s, float) - 1.0)
+    q, qp, qpp = _bump_jet(2.0 - np.asarray(s, float))
+    qp = -qp
+    n = p + q
+    num = pp * q - p * qp
+    return (p / n, num / n ** 2,
+            (ppp * q - p * qpp) / n ** 2 - 2.0 * num * (pp + qp) / n ** 3)
 
 
 def cutoff_F(s):
     """Smooth monotone transition: exactly 0 for s <= 1, exactly 1 for s >= 2."""
-    s = np.asarray(s, float)
-    p = _bump(s - 1.0)
-    q = _bump(2.0 - s)
-    return p / (p + q)
+    return _cutoff_jet(s)[0]
 
 
 def cutoff_F_prime(s):
     """Derivative of cutoff_F, exact (vanishing to all orders at 1 and 2)."""
-    s = np.asarray(s, float)
-    p, q = _bump(s - 1.0), _bump(2.0 - s)
-    pp, qp = _bump_prime(s - 1.0), -_bump_prime(2.0 - s)
-    return (pp * q - p * qp) / (p + q) ** 2
+    return _cutoff_jet(s)[1]
+
+
+def cutoff_F_second(s):
+    """Second derivative of cutoff_F, exact (vanishing to all orders at 1
+    and 2)."""
+    return _cutoff_jet(s)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +206,7 @@ class GluedStructure:
         x, r = self._radii(x)
         t, alpha = self.config.t, self.config.alpha
         s = r * t ** (-alpha)
-        F = cutoff_F(s)
-        Fp = cutoff_F_prime(s)
+        F, Fp, _ = _cutoff_jet(s)
         if self.perturbation is None:
             dA = dr_A = 0.0
         else:
@@ -210,6 +221,44 @@ class GluedStructure:
             seam = dr_A - t * dr_B
             out = out + (Fp * t ** (-alpha))[..., None] * seam
         return KForm(6, 3, out)
+
+    def Omega_t_partials(self, x) -> np.ndarray:
+        """The x-partials d_k Omega_t at [..., k, :], k = 0..5, in closed
+        form: each side's correction_partials, d_k s = t^-alpha xhat_k for
+        the cutoff's argument s, and F'' for the seam term,
+
+            d_k Omega_t = F d_k dA + (1 - F) t^-1 (d_k dB)(x/t)
+                          + F' t^-alpha xhat_k (dA - dB_t)
+                          + F'' t^-2alpha xhat_k dr ^ (A - B_t)
+                          + F' t^-alpha d_k (dr ^ (A - B_t)).
+        """
+        x, r = self._radii(x)
+        t, alpha = self.config.t, self.config.alpha
+        ta = t ** (-alpha)
+        s = r * ta
+        F, Fp, Fpp = _cutoff_jet(s)
+        y = x / t
+        # the side's fresh partials are scaled and summed in place
+        out, ddr_B = self.ac.correction_partials(y)
+        out *= ((1.0 - F) / t)[..., None, None]
+        if self.perturbation is None:
+            dA = dr_A = 0.0
+            seam_partials = -ddr_B
+        else:
+            ddA, seam_partials = self.perturbation.correction_partials(x, r)
+            ddA *= F[..., None, None]
+            out += ddA
+            seam_partials -= ddr_B
+        if np.any(Fp != 0.0):
+            if self.perturbation is not None:
+                dA, dr_A = self.perturbation.correction_terms(x, r)
+            dB, dr_B = self.ac.correction_terms(y)
+            radial = ((Fp * ta)[..., None] * (dA - dB)
+                      + (Fpp * ta ** 2)[..., None] * (dr_A - t * dr_B))
+            out += (x / r[..., None])[..., :, None] * radial[..., None, :]
+            seam_partials *= (Fp * ta)[..., None, None]
+            out += seam_partials
+        return out
 
     def Omega_q(self, x) -> KForm:
         """Pure cone-side branch Omega_V + dA."""
@@ -374,10 +423,15 @@ _NORM_COLUMNS = {
 
 @dataclass(frozen=True)
 class DefectScan:
-    """Neck norm ladder, one row per t, t strictly decreasing."""
+    """Neck norm ladder, one row per t, t strictly decreasing.
+
+    row_wall_s holds each row's wall time in seconds, in row order; it
+    is kept out of to_csv, whose bytes depend on the inputs only.
+    """
 
     rows: tuple
     config: GluingConfig
+    row_wall_s: tuple = ()
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(row, name) for row in self.rows])
@@ -428,48 +482,68 @@ def _curvature_sup(ac: ACGeometry, seed: int = 0) -> float:
     return float(np.max(lower_tensor_norm(g, low, 4)))
 
 
-def _recovered(glued: GluedStructure, y, nbatch: int):
-    """Omega_t at the points y and its recovery against the cone's Kaehler
-    form. A sample that is not stable or not positive raises, named by
-    its last nbatch indices: its node in a batch of that many axes, with
-    any stacked shift axes in front dropped."""
-    Om = glued.Omega_t(y).coeffs
+# nodes per Omega_t_partials and recovery tangent call: a 384-node block
+# runs faster in three such calls than in one, since the (nodes, 6, ...)
+# temporaries of a 128-node call stay in cache
+_TANGENT_BLOCK = 128
+
+
+def _neck_jet(glued: GluedStructure, x, nbatch: int):
+    """Omega_t at the points x, its recovery against the cone's Kaehler
+    form, and the scan's gradient fields there, exact: one Omega_t and one
+    recovery, then Omega_t_partials and the recovery tangent on chunks of
+    at most _TANGENT_BLOCK points.
+
+    On the flat cone chart gradients are partials of coefficients, a
+    k-form's scaled by sqrt(k!) to give the norm of its full tensor; the
+    derivative index follows the batch axes. A sample that is not stable
+    or not positive raises, named by its last nbatch indices: its node in
+    a batch of that many axes, with any stacked shift axes in front
+    dropped.
+    """
+    x = np.asarray(x, float)
+    Om = glued.Omega_t(x).coeffs
     out = su3._recover_batch(FLAT_OMEGA.coeffs, Om)
     su3._raise_failures(out, nbatch)
-    return Om, out
-
-
-def _neck_gradients(glued: GluedStructure, x) -> dict:
-    """The scan's gradient fields at the nodes x, from Omega_t and the
-    recovery at the 12 shifts x +- local_step(x) e_i only, which
-    central_differences stacks into calls of at most _BLOCK points. On the
-    flat cone chart gradients are central differences of coefficients, a
-    k-form's scaled by sqrt(k!) to give the norm of its full tensor."""
-    nbatch = np.ndim(x) - 1
-
-    def differentiated(y):
-        Om, out = _recovered(glued, y, nbatch)
-        return {"grad_omega": np.sqrt(2.0) * out["omega_prime"],
-                "grad_metric": out["g"],
-                "grad_re_Omega": np.sqrt(6.0) * np.real(Om)}
-
-    return central_differences(differentiated, x)
+    lead = x.shape[:-1]
+    flat = {k: v.reshape((-1,) + v.shape[len(lead):]) for k, v in out.items()}
+    xs, Oms = x.reshape(-1, 6), Om.reshape(-1, 20)
+    parts = []
+    for lo in range(0, len(xs), _TANGENT_BLOCK):
+        chunk = slice(lo, lo + _TANGENT_BLOCK)
+        dOm = glued.Omega_t_partials(xs[chunk])
+        tangent = su3._recover_tangent(FLAT_OMEGA.coeffs, Oms[chunk], dOm,
+                                       {k: v[chunk] for k, v in flat.items()})
+        parts.append((np.sqrt(2.0) * tangent["omega_prime"], tangent["g"],
+                      np.sqrt(6.0) * np.real(dOm)))
+    return Om, out, {
+        name: np.concatenate(arrays).reshape(lead + arrays[0].shape[1:])
+        for name, arrays in zip(("grad_omega", "grad_metric",
+                                 "grad_re_Omega"), zip(*parts))}
 
 
 def _neck_fields(glued: GluedStructure, x) -> dict:
-    """Every pointwise neck defect of a scan row at the nodes x.
-
-    Omega_t and the recovery run once at x and once at each of its 12
-    shifts (_neck_gradients). A sample that fails the recovery raises
-    NotStable or NotPositive whose sample_index names its node in x.
+    """Every pointwise neck defect of a scan row at the nodes x, from one
+    _neck_jet: the gradients come with the values, no stencil runs. A
+    sample that fails the recovery raises NotStable or NotPositive whose
+    sample_index names its node in x.
     """
-    Om, out = _recovered(glued, x, np.ndim(x) - 1)
+    Om, out, grads = _neck_jet(glued, x, np.ndim(x) - 1)
     return {
         "Omega_defect": KForm(6, 3, Om - FLAT_OMEGA3.coeffs),
         "omega": KForm(6, 2, out["omega_prime"] - FLAT_OMEGA.coeffs),
         "im_Omega": KForm(6, 3, np.imag(Om) - out["theta2_prime"]),
-        **_neck_gradients(glued, x),
+        **grads,
     }
+
+
+def _neck_hessian(glued: GluedStructure, x) -> np.ndarray:
+    """Second partials of sqrt(2) omega_prime at the nodes x, one central
+    difference of its exact gradient: 12 _neck_jet points per node and
+    none at the node itself. A failing shift names its node in x."""
+    nbatch = np.ndim(x) - 1
+    return central_differences(
+        lambda y: _neck_jet(glued, y, nbatch)[2]["grad_omega"], x)
 
 
 def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
@@ -477,11 +551,7 @@ def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
     glued = build_glued(config, cone, ac, perturbation)
     norms = region_norms(lambda x: _neck_fields(glued, x), cone,
                          config.neck_bounds, config.n_radial, config.link_level)
-    sup_pts = _sup_grid(config)
-    # the outer stencil reads grad_omega at its shifts only, so the sup
-    # points themselves are never recovered
-    hess = central_differences(
-        lambda y: _neck_gradients(glued, y)["grad_omega"], sup_pts)
+    hess = _neck_hessian(glued, _sup_grid(config))
     hess_c0 = float(np.max(np.sqrt(np.sum(hess ** 2, axis=(1, 2, 3)))))
     return DefectRow(
         t=config.t,
@@ -500,8 +570,8 @@ def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
     Needs at least 4 values spanning at least 2 octaves, each admissible
     for the template. The resolved-side curvature C1 = sup |Riem(g_Y)| is
     evaluated once, before any row; each row reports C1 / t^2. Rows are
-    computed independently (optionally in a thread pool) and assembled in
-    deterministic order.
+    computed independently (optionally in a thread pool), each timed on
+    its own, and assembled in deterministic order.
     """
     ts = sorted({float(t) for t in t_list}, reverse=True)
     if len(ts) < 4:
@@ -513,14 +583,17 @@ def defect_scan(config_template: GluingConfig, t_list: Sequence[float],
     c1 = _curvature_sup(ac, seed=config_template.seed)
 
     def job(cfg):
-        return _scan_row(cfg, cone, ac, pert, c1)
+        start = time.perf_counter()
+        row = _scan_row(cfg, cone, ac, pert, c1)
+        return row, time.perf_counter() - start
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(job, configs))
+            timed = list(pool.map(job, configs))
     else:
-        rows = tuple(job(cfg) for cfg in configs)
-    return DefectScan(rows=rows, config=config_template)
+        timed = [job(cfg) for cfg in configs]
+    rows, walls = zip(*timed)
+    return DefectScan(rows=rows, config=config_template, row_wall_s=walls)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ sign of J itself fixed so that theta1 ^ theta2_prime is positively oriented.
 This is the unique choice under which the flat pair (omega0, Omega0) recovers
 the standard complex structure, theta2_prime = Im(Omega0), and a positive
 metric simultaneously.
+
+The recovery is a polynomial in theta1 followed by one square root, one
+quotient and one cube root (N. Hitchin, The geometry of three-forms in six
+dimensions, J. Diff. Geom. 55, 2000), so its derivative along a variation
+of Omega is exact in forward mode: _recover_tangent carries it through the
+tables of the value pass.
 """
 
 from __future__ import annotations
@@ -76,6 +82,17 @@ class Prop32Record:
     ratio: np.ndarray
 
 
+_W22 = mi.wedge_tensor(6, 2, 2)
+_W24 = mi.wedge_tensor(6, 2, 4)[..., 0]
+_W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
+# signed table taking a 2-form's 15 coefficients to its flat (6, 6) tensor
+_TWO_FORM = mi.coeffs_to_tensor(np.eye(15), 6, 2).reshape(15, 36)
+# flat positions of (i, j) and (j, i) in a (6, 6) array, i < j in storage
+# order of 2-forms
+_UPPER = mi._coeff_positions(6, 2)
+_LOWER = np.array([6 * j + i for i, j in mi.index_sets(6, 2)])
+
+
 def _check_theta(theta: KForm):
     if theta.dim != 6 or theta.degree != 3:
         raise DimensionMismatch("expected a 3-form on R^6")
@@ -93,13 +110,19 @@ def _iota_table(coeffs: np.ndarray) -> np.ndarray:
 
 def _k_endomorphism(coeffs: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """K with iota_{K(v)} vol = iota_v theta ^ theta, batched over leading
-    axes, from theta and its table t1 = _iota_table(theta)."""
+    axes, from theta and its table t1 = _iota_table(theta).
+
+    t1 may be the table of another 3-form eta, for the K of
+    iota_v eta ^ theta, or a stack of such tables on axes between the
+    batch axes of coeffs and its own two, for one K per table.
+    """
     W = mi.wedge_tensor(6, 2, 3)             # (15, 20, 6)
     # mu[..., a, m] = coefficients of iota_{e_a} theta ^ theta,
     # assembled as a vector-matrix product and a batched matmul
     t2 = (coeffs @ W.transpose(1, 0, 2).reshape(20, 90)).reshape(
         coeffs.shape[:-1] + (15, 6))
-    mu = t1 @ t2
+    mu = (t1.reshape(coeffs.shape[:-1] + (-1, 15)) @ t2).reshape(
+        t1.shape[:-2] + (6, 6))
     # the 5-form omitting index i sits at storage position 5 - i, so row i
     # of K is (-1)^i times column 5 - i of mu
     return np.swapaxes(mu[..., ::-1], -1, -2) * _K_SIGN[:, None]
@@ -126,24 +149,30 @@ def _companion_positions() -> np.ndarray:
 
 def _theta2(J: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """-theta(J., ., .), antisymmetrized, from the table t1 of theta."""
-    P = np.swapaxes(J, -1, -2) @ t1
+    return _alternated(np.swapaxes(J, -1, -2) @ t1)
+
+
+def _alternated(P: np.ndarray) -> np.ndarray:
+    """-(the alternation of P), P[..., d, bc] = theta(J e_d, e_b, e_c)."""
     lead = P.shape[:-2]
-    # P[d, bc] = theta(J e_d, e_b, e_c) is antisymmetric in b, c, so the
-    # alternation is the cyclic mean (P[a, bc] + P[c, ab] - P[b, ac]) / 3;
-    # indexing, unlike np.take, lays the result out batch axis fastest,
-    # and the summation order of _acs_batch's pairing follows that layout
+    # P is antisymmetric in b, c, so the alternation is the cyclic mean
+    # (P[a, bc] + P[c, ab] - P[b, ac]) / 3; indexing, unlike np.take, lays
+    # the result out batch axis fastest, and the summation order of
+    # _acs_batch's pairing follows that layout
     cyc = P.reshape(lead + (90,))[..., _companion_positions()].reshape(
         lead + (3, 20))
     return -((cyc[..., 0, :] + cyc[..., 1, :]) - cyc[..., 2, :]) / 3.0
 
 
-def _acs_batch(coeffs: np.ndarray):
-    """(J, lam, stable_mask, theta2_prime, pairing) without raising; J and
-    theta2_prime are garbage where unstable.
+def _acs_batch(coeffs: np.ndarray) -> dict:
+    """The almost complex structure of theta and the tables it is built
+    from, without raising; J and theta2_prime are garbage where unstable.
 
-    theta2_prime is read off the table of iota_{e_a} theta that also
-    builds K, and pairing is the coefficient of theta ^ theta2_prime on
-    the volume form, nonnegative after the orientation fix.
+    iota is the table of iota_{e_a} theta, which builds both K and
+    theta2_prime; J = flip K / sqrt(-lam), with flip = +-1 chosen so that
+    pairing, the coefficient of theta ^ theta2_prime on the volume form,
+    is nonnegative. Returned as a dict of J, lam, stable, theta2_prime,
+    pairing, iota and flip.
     """
     t1 = _iota_table(coeffs)
     K = _k_endomorphism(coeffs, t1)
@@ -154,12 +183,12 @@ def _acs_batch(coeffs: np.ndarray):
     J = K / denom[..., None, None]
     # orientation: require theta ^ theta2_prime positively oriented
     t2 = _theta2(J, t1)
-    W = mi.wedge_tensor(6, 3, 3)[..., 0]
-    top = np.einsum("...j,...j->...", coeffs @ W, t2)
+    top = np.einsum("...j,...j->...", coeffs @ _W33, t2)
     flip = np.where(top < 0, -1.0, 1.0)
     # theta2_prime and the pairing are linear in J, so flipping is exact
-    return (J * flip[..., None, None], lam, stable, t2 * flip[..., None],
-            top * flip)
+    return {"J": J * flip[..., None, None], "lam": lam, "stable": stable,
+            "theta2_prime": t2 * flip[..., None], "pairing": top * flip,
+            "iota": t1, "flip": flip}
 
 
 def acs_from_theta1(theta1: KForm) -> LinearMap:
@@ -168,9 +197,9 @@ def acs_from_theta1(theta1: KForm) -> LinearMap:
     Raises NotStable when the quartic invariant fails to be negative.
     """
     _check_theta(theta1)
-    J, _, stable, _, _ = _acs_batch(theta1.coeffs)
-    _raise_failures({"stable": stable})
-    return LinearMap(J)
+    acs = _acs_batch(theta1.coeffs)
+    _raise_failures(acs)
+    return LinearMap(acs["J"])
 
 
 def theta2_prime(J: LinearMap, theta1: KForm) -> KForm:
@@ -192,9 +221,17 @@ def omega_11(omega: KForm, J: LinearMap) -> KForm:
 
 
 def _metric_from(omega_p: np.ndarray, J: np.ndarray) -> np.ndarray:
-    T = mi.coeffs_to_tensor(omega_p, 6, 2)
+    """g = sym(T J) for the tensor T of the 2-form omega_p."""
+    T = (omega_p @ _TWO_FORM).reshape(omega_p.shape[:-1] + (6, 6))
     g = T @ J
     return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def _wedge_square(om: np.ndarray) -> np.ndarray:
+    """om ^ om for a batch of 2-forms."""
+    tmp = om @ _W22.reshape(15, 225)
+    tmp = tmp.reshape(tmp.shape[:-1] + (15, 15))
+    return (om[..., None, :] @ tmp)[..., 0, :]
 
 
 def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
@@ -204,9 +241,10 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     the flat Kaehler form is on the neck; it broadcasts against J.
     theta2_prime is read off the table of iota_{e_a} theta1 that builds J.
 
-    Returns a dict of arrays; ``stable`` and ``positive`` are masks rather
-    than raised errors so grid evaluations can report the offending sample
-    (_raise_failures turns them into errors).
+    Returns a dict of arrays: the recovered fields, and the tables of
+    _acs_batch that _recover_tangent reads. ``stable`` and ``positive``
+    are masks rather than raised errors so grid evaluations can report
+    the offending sample (_raise_failures turns them into errors).
     ``positive`` is the eigenvalue rule w_min > _POS_RTOL max|w| on the
     samples with f > 0. A Gershgorin certificate decides it without an
     eigensolve wherever it can: the rows of g bound w_min from below and
@@ -214,33 +252,89 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     _POS_RTOL always passes the rule (argument in
     forms.gershgorin_certified).
     """
-    J, lam, stable, t2p, pairing = _acs_batch(np.real(Omega_c))
+    acs = _acs_batch(np.real(Omega_c))
+    J = acs["J"]
 
     # omega(J., J.) has the tensor J^T W J of omega's tensor W
     W = mi.coeffs_to_tensor(omega_c, 6, 2)
     om11 = 0.5 * (omega_c + mi.tensor_to_coeffs(
         np.swapaxes(J, -1, -2) @ W @ J, 6, 2))
 
-    W22 = mi.wedge_tensor(6, 2, 2)
-    W24 = mi.wedge_tensor(6, 2, 4)[..., 0]
-    tmp = om11 @ W22.reshape(15, 225)
-    tmp = tmp.reshape(tmp.shape[:-1] + (15, 15))
-    om11_sq = (om11[..., None, :] @ tmp)[..., 0, :]
-    num = np.einsum("...k,...k->...", om11 @ W24, om11_sq)
+    num = np.einsum("...k,...k->...", om11 @ _W24, _wedge_square(om11))
     # omega'^3 = (3/2) theta1 ^ theta2_prime fixes the scale f
-    den = 1.5 * pairing
+    den = 1.5 * acs["pairing"]
     safe_den = np.where(den == 0.0, 1.0, den)
     f = np.where(den == 0.0, np.nan, num / safe_den)
 
-    positive_f = np.where(stable, f > 0, False)
+    positive_f = np.where(acs["stable"], f > 0, False)
     scl = np.where(positive_f, np.abs(f), 1.0) ** (-1.0 / 3.0)
     omega_p = om11 * scl[..., None]
     g = _metric_from(omega_p, J)
     return {
-        "J": J, "lam": lam, "stable": stable, "f": f,
-        "theta2_prime": t2p, "omega_11": om11, "omega_prime": omega_p,
+        **acs, "f": f, "omega_11": om11, "omega_prime": omega_p,
         "g": g, "positive": _positive_metric(g, positive_f),
     }
+
+
+def _recover_tangent(omega_c: np.ndarray, Omega_c: np.ndarray,
+                     dOmega_c: np.ndarray, rec: dict) -> dict:
+    """Tangent of _recover_batch along the directions dOmega_c, with
+    omega_c held fixed: the derivatives of omega_prime and g.
+
+    Omega_c is one batch axis of samples, (n, 20). dOmega_c carries the
+    directions on one axis after it, (n, m, 20), and so do the results,
+    (n, m, 15) and (n, m, 6, 6). rec is _recover_batch(omega_c, Omega_c),
+    whose tables the tangent reads. Forward mode through the value pass:
+    K is quadratic in theta, theta2_prime bilinear in J and the iota
+    table, omega_11 quadratic in J and omega_11^3 cubic in omega_11;
+    J = flip K / sqrt(-lam), f = omega_11^3 / (3/2 pairing) and
+    omega_prime = omega_11 f^(-1/3) follow by the chain rule. The
+    orientation flip and the masks are locally constant. Garbage where
+    rec is not stable and positive.
+    """
+    theta, dtheta = np.real(Omega_c), np.real(dOmega_c)
+    n, m = dtheta.shape[:2]
+    dt1 = _iota_table(dtheta)
+    # theta ^ d theta = p vol, and iota_a (theta ^ dtheta) = iota_a theta
+    # ^ dtheta - iota_a dtheta ^ theta, whose K is p times the identity, so
+    # dK = 2 K(iota dtheta ^ theta) + p Id
+    wedge_row = theta @ _W33
+    p = np.einsum("nj,nmj->nm", wedge_row, dtheta)
+    dK = 2.0 * _k_endomorphism(theta, dt1)
+    dK[..., range(6), range(6)] += p[..., None]
+    # J = flip K / sqrt(-lam) and d lam = tr(K dK) / 3 give
+    # dJ = flip (dK + J tr(J dK) / 6) / sqrt(-lam)
+    J = rec["J"]
+    denom = np.sqrt(np.where(rec["stable"], -rec["lam"], 1.0))
+    tr = np.einsum("nij,nmji->nm", J, dK)
+    dJ = (dK + J[:, None] * (tr / 6.0)[..., None, None]) * (
+        rec["flip"] / denom)[:, None, None, None]
+    dJt = np.swapaxes(dJ, -1, -2).reshape(n, 6 * m, 6)
+
+    dt2p = _alternated((dJt @ rec["iota"]).reshape(n, m, 6, 15)
+                       + np.swapaxes(J, -1, -2)[:, None] @ dt1)
+    dpairing = (np.einsum("nmj,nj->nm", dtheta @ _W33, rec["theta2_prime"])
+                + np.einsum("nj,nmj->nm", wedge_row, dt2p))
+
+    # d(J^T W J) = X - X^T with X = dJ^T W J
+    X = (dJt @ (mi.coeffs_to_tensor(omega_c, 6, 2) @ J)).reshape(n, m, 36)
+    dom11 = 0.5 * (X[..., _UPPER] - X[..., _LOWER])
+    om11 = rec["omega_11"]
+    dnum = 3.0 * np.einsum("nmk,nk->nm", dom11 @ _W24, _wedge_square(om11))
+    f = rec["f"]
+    df = (dnum - (1.5 * f)[:, None] * dpairing) / (1.5 * rec["pairing"])[:, None]
+
+    positive_f = np.where(rec["stable"], f > 0, False)
+    scl = np.where(positive_f, np.abs(f), 1.0) ** (-1.0 / 3.0)
+    dscl = np.where(positive_f, -scl / (3.0 * np.where(positive_f, f, 1.0)),
+                    0.0)[:, None] * df
+    domega_p = dom11 * scl[:, None, None] + om11[:, None] * dscl[..., None]
+    # d sym(T J) = sym(dT J + T dJ) = sym(dT J - dJ^T T), T the
+    # antisymmetric tensor of omega_prime
+    T = (rec["omega_prime"] @ _TWO_FORM).reshape(n, 6, 6)
+    dT = (domega_p @ _TWO_FORM).reshape(n, 6 * m, 6)
+    G = (dT @ J - dJt @ T).reshape(n, m, 6, 6)
+    return {"omega_prime": domega_p, "g": 0.5 * (G + np.swapaxes(G, -1, -2))}
 
 
 def _positive_metric(g: np.ndarray, candidate: np.ndarray) -> np.ndarray:

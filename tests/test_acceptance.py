@@ -195,11 +195,11 @@ REFERENCE_ROW_T01 = {
     "omega_l2": 6.901860e-05,
     "im_Omega_c0": 4.687189e-03,
     "im_Omega_l2": 1.411189e-04,
-    "grad_omega_c0": 1.621807e-01,
-    "grad_omega_l12": 6.456321e-02,
+    "grad_omega_c0": 1.621834e-01,
+    "grad_omega_l12": 6.456456e-02,
     "grad_omega_t_l12": 1.387046e+00,
     "grad_re_Omega_l12": 2.396994e+00,
-    "hess_omega_c0": 5.189484e+00,
+    "hess_omega_c0": 5.189476e+00,
     "neck_volume": 1.720397e-03,
     "curvature_sup": 4.179037e+02,
 }
@@ -211,6 +211,25 @@ def test_frozen_reference_row(full_scan):
     assert row.t == 0.1
     for name, want in REFERENCE_ROW_T01.items():
         assert getattr(row, name) == pytest.approx(want, rel=1e-6), name
+
+
+# the derivative columns of the t = 0.1 row as Richardson limits of the
+# central-difference stencil they once came from, at steps h, h/2 and h/4;
+# the exact gradients must land on them
+DERIVATIVE_LIMITS_T01 = {
+    "grad_omega_c0": 0.162183386,
+    "grad_omega_l12": 0.0645645644,
+    "grad_omega_t_l12": 1.38704500,
+    "grad_re_Omega_l12": 2.39699218,
+    "hess_omega_c0": 5.18947610,
+}
+
+
+def test_derivative_columns_sit_on_their_step_limits(full_scan):
+    _, scan, _ = full_scan
+    row = scan.rows[-1]
+    for name, want in DERIVATIVE_LIMITS_T01.items():
+        assert getattr(row, name) == pytest.approx(want, rel=1e-7), name
 
 
 def _assert_matches_reference(scan, name):

@@ -87,6 +87,9 @@ class TestConfigPlumbing:
         ({"steps": -8}, [], "steps"),
         ({"command": "cone-verify", "seed": -1}, [], "seed"),
         ({"command": "moser", "nu": 0}, [], "nu"),
+        ({}, ["--lam", "nan"], "lam"),
+        ({}, ["--fit-slack", "-1"], "fit_slack"),
+        ({}, ["--amplitude", "inf"], "amplitude"),
     ])
     def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -260,6 +263,33 @@ class TestGlueScan:
                                                 "out": str(tmp_path)}))
         assert report.overall_pass
         assert len(calls) == 1
+
+    def test_row_wall_times_in_report_not_in_csv(self, scan_run):
+        _, out, _ = scan_run
+        report = json.loads((out / "report.json").read_text())
+        walls = report["extras"]["row_wall_s"]
+        assert len(walls) == 4
+        assert all(isinstance(w, float) and w > 0.0 for w in walls)
+        header = (out / "scan.csv").read_text().splitlines()[0]
+        assert header == ",".join(gl.SCAN_COLUMNS)
+
+    def test_failed_recovery_still_writes_its_report(self, tmp_path,
+                                                     capsys):
+        # an amplitude far past the stable range breaks the recovery
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SMALL_SCAN, "amplitude": 50.0}))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert not report["overall_pass"]
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+            ("neck_recovery", False)]
+        error = report["extras"]["error"]
+        assert error["type"] in ("NotStable", "NotPositive")
+        assert str(error["sample_index"]) in error["message"]
+        assert len(error["sample_index"]) == 1
+        assert not (tmp_path / "scan.csv").exists()
+        assert "overall: FAIL" in capsys.readouterr().out
 
     def test_short_t_list_is_config_error(self, tmp_path):
         code = cli.main(["glue-scan", "--t-list", "0.4,0.3",

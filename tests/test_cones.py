@@ -17,6 +17,26 @@ def fit_slope(radii, values):
     return np.polyfit(np.log(radii), np.log(values), 1)[0]
 
 
+def richardson_partials(f, x, rel_step=1e-3):
+    """(4 D(s/2) - D(s)) / 3 for the central difference D(s) of f at x,
+    s = rel_step |x| per sample, the derivative index after the batch."""
+    def central(scale):
+        s = scale * rel_step * np.linalg.norm(x, axis=-1)[:, None]
+        return np.stack([(f(x + s * e) - f(x - s * e)) / (2.0 * s)
+                         for e in np.eye(6)], axis=1)
+
+    return (4.0 * central(0.5) - central(1.0)) / 3.0
+
+
+def assert_partials_exact(f, partials, x, rtol=1e-8):
+    """Each of the closed-form partials of f's outputs matches Richardson
+    differences to rtol of the largest partial."""
+    for i, got in enumerate(partials(x)):
+        want = richardson_partials(lambda y: f(y)[i], x)
+        assert got.shape == x.shape[:-1] + (6,) + want.shape[2:]
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), i
+
+
 class TestConeGeometry:
     def test_flat_link_volume_is_pi_cubed(self):
         cone = cn.flat_c3_cone()
@@ -298,6 +318,12 @@ class TestCalabiALE:
             assert np.max(np.abs(got[name] - form.coeffs)) \
                 <= 1e-13 * np.max(np.abs(form.coeffs)), name
 
+    def test_correction_partials_match_richardson_differences(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(1.05, 6.0, (24, 1)) * unit_dirs(24, seed=9)
+        assert_partials_exact(self.ale.correction_terms,
+                              self.ale.correction_partials, x)
+
     def test_correction_db_is_derivative_of_b(self):
         x = 2.5 * self.dirs
         fd = an.fd_exterior_derivative(self.ale.correction_B, x)
@@ -465,6 +491,16 @@ class TestSyntheticPerturbation:
         for name, form in want.items():
             assert np.max(np.abs(got[name] - form.coeffs)) \
                 < 1e-13 * np.max(np.abs(form.coeffs)), name
+
+    def test_correction_partials_match_richardson_differences(self):
+        rng = np.random.default_rng(23)
+        x = rng.uniform(0.05, 2.0, (24, 1)) * unit_dirs(24, seed=23)
+        assert_partials_exact(self.pert.correction_terms,
+                              self.pert.correction_partials, x)
+        r = np.linalg.norm(x, axis=-1)
+        for got, want in zip(self.pert.correction_partials(x, r),
+                             self.pert.correction_partials(x)):
+            assert np.array_equal(got, want)
 
     def test_real_tables_match_complex_matmul(self):
         # the real-arithmetic product against numpy's complex matmul of the

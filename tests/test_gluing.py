@@ -98,6 +98,18 @@ class TestCutoff:
         fd = (gl.cutoff_F(s + h) - gl.cutoff_F(s - h)) / (2 * h)
         assert np.allclose(gl.cutoff_F_prime(s), fd, rtol=1e-7, atol=1e-12)
 
+    def test_second_derivative_matches_richardson_differences(self):
+        s = np.linspace(0.9, 2.1, 25)
+
+        def central(h):
+            return (gl.cutoff_F_prime(s + h) - gl.cutoff_F_prime(s - h)) / (2 * h)
+
+        want = (4.0 * central(5e-5) - central(1e-4)) / 3.0
+        assert np.max(np.abs(gl.cutoff_F_second(s) - want)) \
+            <= 1e-8 * np.max(np.abs(want))
+        assert np.array_equal(gl.cutoff_F_second(np.array([0.5, 1.0, 2.0])),
+                              np.zeros(3))
+
 
 class TestCorrectionForms:
     def test_unperturbed_conical_side_is_zero(self, geometry):
@@ -198,6 +210,26 @@ class TestGluedStructure:
                                 rng.uniform(lo, hi, 16),
                                 rng.uniform(hi, 0.9, 8)])
         return radii[:, None] * unit_dirs(32, seed=seed)
+
+    @pytest.mark.parametrize("side", ["P", "neck", "Q"])
+    def test_partials_match_richardson_differences(self, glued, side):
+        # (4 D(s/2) - D(s)) / 3 of the central difference D(s) of Omega_t,
+        # s = 1e-3 |x|, on each side of the neck and across its seam
+        x = self._across_chart(glued, 14)
+        x = x[glued.region(x) == side]
+        s = 1e-3 * np.linalg.norm(x, axis=-1)[:, None]
+
+        def central(scale):
+            return np.stack([
+                (glued.Omega_t(x + scale * s * e).coeffs
+                 - glued.Omega_t(x - scale * s * e).coeffs) / (2 * scale * s)
+                for e in np.eye(6)], axis=1)
+
+        want = (4.0 * central(0.5) - central(1.0)) / 3.0
+        got = glued.Omega_t_partials(x)
+        assert len(x) >= 8
+        assert got.shape == (len(x), 6, 20)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     def test_closed_form_assembly_matches_generic(self, glued, geometry):
         # Omega_V + F dA + (1 - F) dB(x/t) + F' t^-alpha dr ^ (A - t B(x/t)),
@@ -381,12 +413,18 @@ class TestDefectScan:
 
     def test_row_evaluates_each_neck_sample_once(self, geometry,
                                                   monkeypatch):
-        seen = {"Omega_t": [], "recover": [], "christoffel": 0}
+        seen = {"Omega_t": [], "recover": [], "partials": [],
+                "christoffel": 0}
         omega_t, recover = gl.GluedStructure.Omega_t, gl.su3._recover_batch
+        partials = gl.GluedStructure.Omega_t_partials
 
         def counted_omega_t(self, x):
             seen["Omega_t"].append(np.asarray(x, float).reshape(-1, 6))
             return omega_t(self, x)
+
+        def counted_partials(self, x):
+            seen["partials"].append(np.asarray(x, float).reshape(-1, 6))
+            return partials(self, x)
 
         def counted_recover(omega_c, Omega_c):
             seen["recover"].append(np.concatenate(
@@ -403,10 +441,15 @@ class TestDefectScan:
         monkeypatch.setattr(gl.GluedStructure, "Omega_t", counted_omega_t)
         monkeypatch.setattr(gl.su3, "_recover_batch", counted_recover)
         monkeypatch.setattr(an, "christoffel", counted_christoffel)
+        monkeypatch.setattr(gl.GluedStructure, "Omega_t_partials",
+                            counted_partials)
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
-        for name in ("Omega_t", "recover"):
+        for name in ("Omega_t", "recover", "partials"):
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
+        # the exact partials are taken at the evaluated samples only
+        assert np.array_equal(np.unique(np.concatenate(seen["partials"]), axis=0),
+                              np.unique(np.concatenate(seen["Omega_t"]), axis=0))
         assert seen["christoffel"] == 0
 
     def test_row_expands_no_three_form_tensor(self, geometry, monkeypatch):
@@ -435,11 +478,11 @@ class TestDefectScan:
 
         monkeypatch.setattr(gl.su3, "_recover_batch", counted)
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
-        # 192 coarse and 384 fine nodes with their 12 shifts each, and the
-        # 12 x 12 inner shifts of the 16 sup points, whose outer stencil
-        # needs no recovery at its centre
-        assert sum(sizes) == 13 * (192 + 384) + 12 * 12 * 16
-        assert len(sizes) <= 30
+        # 192 coarse and 384 fine nodes, their gradients exact, and the 12
+        # shifts of the 16 sup points, whose Hessian stencil needs no
+        # recovery at its centre
+        assert sum(sizes) == 192 + 384 + 12 * 16
+        assert len(sizes) == 3
         assert max(sizes) <= an._BLOCK
 
     @pytest.mark.parametrize("shape", [(8,), (2, 4)])
@@ -447,6 +490,8 @@ class TestDefectScan:
                                             ("positive", NotPositive)])
     def test_failure_at_a_shift_names_its_node(self, glued, monkeypatch,
                                                shape, key, error):
+        # a recovery that fails at the node itself, in the node pass, or
+        # at one of its Hessian shifts x +- step e_i, never at the node
         x = gl._sup_grid(glued.config)[:8]
         node = 5
         step = an.local_step(x[node], None)
@@ -458,18 +503,53 @@ class TestDefectScan:
             return omega_t(self, y)
 
         def failing_recover(omega_c, Omega_c):
-            # fail at the node's shifts x +- step e_i, never at the node
             out = recover(omega_c, Omega_c)
             offset = np.linalg.norm(last["y"] - x[node], axis=-1)
-            out[key] = out[key] & ~((offset > 0.0) & (offset < 2.0 * step))
+            out[key] = out[key] & ~((offset >= last["lo"])
+                                    & (offset < 2.0 * step))
             return out
 
         monkeypatch.setattr(gl.GluedStructure, "Omega_t", stashing_omega_t)
         monkeypatch.setattr(gl.su3, "_recover_batch", failing_recover)
-        with pytest.raises(error) as err:
-            gl._neck_fields(glued, x.reshape(shape + (6,)))
-        want = np.unravel_index(node, shape)
-        assert err.value.sample_index == [int(i) for i in want]
+        want = [int(i) for i in np.unravel_index(node, shape)]
+        for lo, evaluate in ((0.0, gl._neck_fields),
+                             (1e-3 * step, gl._neck_hessian)):
+            last["lo"] = lo
+            with pytest.raises(error) as err:
+                evaluate(glued, x.reshape(shape + (6,)))
+            assert err.value.sample_index == want
+
+    def test_exact_gradient_beats_the_stencil(self, glued):
+        # at t = 0.1 the 12-shift stencil the gradients came from, written
+        # out here, against its Richardson limit and the exact gradient
+        x = gl._sup_grid(glued.config)
+        step = an.local_step(x, None)[:, None]
+
+        def omega_prime(y):
+            Om = glued.Omega_t(y).coeffs
+            return gl.su3._recover_batch(cn.FLAT_OMEGA.coeffs,
+                                         Om)["omega_prime"]
+
+        def stencil(scale):
+            return np.sqrt(2.0) * np.stack([
+                (omega_prime(x + scale * step * e)
+                 - omega_prime(x - scale * step * e)) / (2 * scale * step)
+                for e in np.eye(6)], axis=1)
+
+        limit = (4.0 * stencil(0.5) - stencil(1.0)) / 3.0
+        exact = gl._neck_jet(glued, x, 1)[2]["grad_omega"]
+        stencil_error = np.max(np.abs(stencil(1.0) - limit))
+        exact_error = np.max(np.abs(exact - limit))
+        assert stencil_error > 1e-7 * np.max(np.abs(limit))
+        assert exact_error * 100.0 <= stencil_error
+
+    def test_row_wall_times_stay_out_of_the_csv(self, small_scan):
+        walls = small_scan.row_wall_s
+        assert len(walls) == len(small_scan.rows)
+        assert all(isinstance(w, float) and w > 0.0 for w in walls)
+        bare = gl.DefectScan(rows=small_scan.rows, config=small_scan.config)
+        assert bare.row_wall_s == ()
+        assert bare.to_csv() == small_scan.to_csv()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("ts", [SCAN_TS, [0.4, 0.283, 0.2, 0.141, 0.1]],

@@ -238,9 +238,11 @@ class TestRecoveryKernels:
         self.omega = OM0.coeffs + 0.3 * rng.standard_normal((32, 15))
 
     def test_oriented_companion_is_recomputed_bitwise(self):
-        J, _, stable, t2, _ = su3._acs_batch(self.theta)
-        assert np.any(stable)
-        assert np.array_equal(t2, su3._theta2(J, su3._iota_table(self.theta)))
+        acs = su3._acs_batch(self.theta)
+        assert np.any(acs["stable"])
+        assert np.array_equal(acs["theta2_prime"],
+                              su3._theta2(acs["J"],
+                                          su3._iota_table(self.theta)))
 
     def test_companion_gather_matches_full_alternation(self):
         # the whole alternated (6, 6, 6) array, read off at increasing
@@ -311,6 +313,45 @@ class TestRecoveryKernels:
         want = omega_11(KForm(6, 2, self.omega), LinearMap(out["J"])).coeffs
         assert np.max(np.abs(out["omega_11"] - want)) \
             <= 1e-14 * np.max(np.abs(want))
+
+
+    def test_metric_table_matches_tensor_gather(self):
+        # g = sym(T J) from the signed coefficient table, against the
+        # tensor gather of omega_prime it replaced
+        rng = np.random.default_rng(35)
+        J = rng.standard_normal((32, 6, 6))
+        T = mi.coeffs_to_tensor(self.omega, 6, 2) @ J
+        want = 0.5 * (T + np.swapaxes(T, -1, -2))
+        got = su3._metric_from(self.omega, J)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_tangent_matches_richardson_differences(self):
+        # forward mode against (4 D(h/2) - D(h)) / 3 of central differences
+        # of the value pass along 6 random directions per sample
+        rng = np.random.default_rng(36)
+        Om = (RE0.coeffs + 0.05 * rng.standard_normal((24, 20))
+              + 1j * (IM0.coeffs + 0.05 * rng.standard_normal((24, 20))))
+        dOm = (rng.standard_normal((24, 6, 20))
+               + 1j * rng.standard_normal((24, 6, 20)))
+        rec = su3._recover_batch(OM0.coeffs, Om)
+        assert np.all(rec["positive"])
+        got = su3._recover_tangent(OM0.coeffs, Om, dOm, rec)
+
+        def central(h):
+            out = {"omega_prime": [], "g": []}
+            for k in range(6):
+                up = su3._recover_batch(OM0.coeffs, Om + h * dOm[:, k])
+                down = su3._recover_batch(OM0.coeffs, Om - h * dOm[:, k])
+                for key in out:
+                    out[key].append((up[key] - down[key]) / (2 * h))
+            return {key: np.stack(v, axis=1) for key, v in out.items()}
+
+        coarse, fine = central(1e-4), central(5e-5)
+        for key, shape in (("omega_prime", (24, 6, 15)), ("g", (24, 6, 6, 6))):
+            want = (4.0 * fine[key] - coarse[key]) / 3.0
+            assert got[key].shape == shape
+            assert np.max(np.abs(got[key] - want)) \
+                <= 1e-8 * np.max(np.abs(want)), key
 
 
 class TestPositivityCertificate:
