@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _multiindex as mi
 from .cones import link_quadrature
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, _SampleError
 from .forms import KForm, MetricTensor
 
 __all__ = [
@@ -38,10 +38,10 @@ __all__ = [
 _SLOT_LETTERS = "abcdefgh"
 # The package's one point budget per field evaluation: region_norms
 # evaluates its nodes, and central_differences its stacked shifts, in
-# chunks of at most this many points, bounding the memory of each call;
-# the neck scan forms its exact gradients, 6 partials per point, on
-# smaller sub-chunks (gluing._TANGENT_BLOCK).
-_BLOCK = 384
+# chunks of at most this many points, bounding the memory of each call.
+# At 128 points the neck scan's (points, 6, ...) gradient temporaries stay
+# in cache.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -292,11 +292,14 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
     scan's grad_* fields are therefore the partials of the coefficients,
     which it computes exactly, with the values, at each block's nodes.
 
-    C0 is the maximum over all quadrature nodes; the L12 sum and the
-    reported L2 run on doubled radial nodes, and quad_error is the L2
-    difference between the two radial resolutions. fields runs on blocks
-    of at most _BLOCK nodes, the package's point budget per evaluation,
-    which bounds the memory of the pointwise evaluations.
+    Two passes run, on n_radial and on 2 n_radial radial nodes: C0 is the
+    maximum over the nodes of both, the reported L2 and the L12 sum come
+    from the doubled pass, and quad_error is the L2 difference between
+    the two. fields runs on blocks of at most _BLOCK nodes, the package's
+    point budget per evaluation, which bounds the memory of the pointwise
+    evaluations. A _SampleError that fields raises at a block offset is
+    raised again with sample_index [i], i the node's index in its pass's
+    radius-major node list, and the pass named by its radial node count.
     """
     a, b = float(r_bounds[0]), float(r_bounds[1])
     if not (0.0 < a < b):
@@ -312,7 +315,16 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
         sums = {}
         for lo in range(0, x.shape[0], _BLOCK):
             w = meas[lo:lo + _BLOCK]
-            for name, val in fields(x[lo:lo + _BLOCK]).items():
+            try:
+                block = fields(x[lo:lo + _BLOCK])
+            except _SampleError as err:
+                if err.sample_index is None:
+                    raise
+                node = [lo + err.sample_index[0]]
+                raise type(err)(
+                    f"{err} in the block from node {lo}: node {node} of "
+                    f"the {n_r}-radial-node pass", sample_index=node) from err
+            for name, val in block.items():
                 arr = val.coeffs if isinstance(val, KForm) else np.asarray(val)
                 vals = np.linalg.norm(arr.reshape(len(w), -1), axis=-1)
                 s2, s12, c0 = sums.get(name, (0.0, 0.0, 0.0))

@@ -502,22 +502,12 @@ class ACGeometry:
         return KForm(6, 3, self.correction_terms(x)[0])
 
     def correction_terms(self, x: np.ndarray) -> tuple:
-        """Coefficients of (correction_dB, dr ^ correction_B) at x, sharing
-        one |x| and one dr ^ iota_dr Omega; dr ^ correction_B = c(r) r dr ^
-        iota_dr Omega / 3."""
-        r, xhat = _polar(x)
-        a6 = self.resolution_scale ** 6
-        c = self._profile_c(r)
-        cp = 3.0 * a6 / (r ** 7 * np.sqrt(1.0 - a6 / r ** 6))
-        radial = _radial_wedge(xhat, _RADIAL_OMEGA3)
-        return (c[..., None] * FLAT_OMEGA3.coeffs
-                + (cp * r / 3.0)[..., None] * radial,
-                (c * r / 3.0)[..., None] * radial)
+        """Coefficients of (correction_dB, dr ^ correction_B) at x and their
+        x-partials d_k at [..., k, :], from one |x|, one square root for
+        the profile c and its first two derivatives, and one
+        dr ^ iota_dr Omega. With P = x ^ iota_x Omega and S_k = d_k P / r,
 
-    def correction_partials(self, x: np.ndarray) -> tuple:
-        """x-partials d_k of correction_terms(x), at [..., k, :], in closed
-        form: with P = x ^ iota_x Omega and S_k = d_k P / r,
-
+            dB = c Omega + c' P / (3 r),  dr ^ B = c P / (3 r),
             d_k dB = xhat_k (c' Omega + (c'' r - c') P / (3 r^2)) + c' S_k / 3,
             d_k (dr ^ B) = xhat_k (c' r - c) P / (3 r^2) + c S_k / 3.
         """
@@ -531,7 +521,10 @@ class ACGeometry:
         S = _table_product(xhat, _SYM_RADIAL_OMEGA3).reshape(
             xhat.shape[:-1] + (6, 20))
         along = xhat[..., :, None]
-        return (along * (cp[..., None] * FLAT_OMEGA3.coeffs
+        return (c[..., None] * FLAT_OMEGA3.coeffs
+                + (cp * r / 3.0)[..., None] * radial,
+                (c * r / 3.0)[..., None] * radial,
+                along * (cp[..., None] * FLAT_OMEGA3.coeffs
                          + ((cpp * r - cp) / 3.0)[..., None] * radial)[..., None, :]
                 + (cp / 3.0)[..., None, None] * S,
                 along * (((cp * r - c) / 3.0)[..., None] * radial)[..., None, :]
@@ -639,26 +632,19 @@ class SyntheticPerturbation:
         return KForm(6, 3, self.correction_terms(x)[0])
 
     def correction_terms(self, x: np.ndarray, r=None) -> tuple:
-        """Coefficients of (dA, dr ^ primitive_A) at x, sharing one |x| (or
-        the given r) and one xhat ^ b; dr ^ primitive_A = amplitude
-        r^(nu+1) xhat ^ b."""
-        r, xhat = _polar(x, r)
-        xhat_b = _table_product(xhat, self._wedge_b)
-        return ((self.amplitude * (self.nu + 3.0) * r ** self.nu)[..., None]
-                * xhat_b,
-                (self.amplitude * r ** (self.nu + 1.0))[..., None] * xhat_b)
-
-    def correction_partials(self, x: np.ndarray, r=None) -> tuple:
-        """x-partials d_k of correction_terms(x, r), at [..., k, :], in
-        closed form from dA = amplitude (nu+3) r^(nu-1) x ^ b and
-        dr ^ primitive_A = amplitude r^nu x ^ b, with the rows e_k ^ b of
+        """Coefficients of (dA, dr ^ primitive_A) at x and their x-partials
+        d_k at [..., k, :], from one |x| (or the given r) and one
+        xhat ^ b: dA = amplitude (nu+3) r^(nu-1) x ^ b and dr ^ primitive_A
+        = amplitude r^nu x ^ b, differentiated with the rows e_k ^ b of
         the same wedge table."""
         r, xhat = _polar(x, r)
-        along = xhat[..., :, None] * _table_product(
-            xhat, self._wedge_b)[..., None, :]
+        xhat_b = _table_product(xhat, self._wedge_b)
+        along = xhat[..., :, None] * xhat_b[..., None, :]
         e_b = self._wedge_b.view(np.complex128)
         a, nu = self.amplitude, self.nu
-        return ((a * (nu + 3.0) * r ** (nu - 1.0))[..., None, None]
+        return ((a * (nu + 3.0) * r ** nu)[..., None] * xhat_b,
+                (a * r ** (nu + 1.0))[..., None] * xhat_b,
+                (a * (nu + 3.0) * r ** (nu - 1.0))[..., None, None]
                 * ((nu - 1.0) * along + e_b),
                 (a * r ** nu)[..., None, None] * (nu * along + e_b))
 

@@ -16,9 +16,10 @@ carried by Omega_t alone and measured against the cone metric.
 Scan rows collect neck norms of the defect, of the structure recovered
 from Omega_t, and of its first two derivatives, then fit t-exponents and
 compare them with the rational inequality ledger that the existence
-argument needs. The first derivatives are exact: Omega_t_partials in
-closed form, pushed through the recovery in forward mode
-(su3._recover_tangent); the second are one central difference of them.
+argument needs. The first derivatives are exact: Omega_t_jet gives
+Omega_t and its partials in closed form from one pass, and the recovery
+carries them in forward mode (su3._recover_tangent); the second
+derivatives are one central difference of them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .analysis import (central_differences, region_norms, riemann_ricci,
 from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
                     SyntheticPerturbation, calabi_ale_o3, hermitian_to_omega,
                     quotient_cone_z3, t6_z3_orbifold_patch)
-from .errors import ConfigInvalid, RateOutOfRange
+from .errors import ConfigInvalid, RateOutOfRange, _SampleError
 from .forms import KForm, MetricTensor, lower_tensor_norm
 
 __all__ = [
@@ -203,62 +204,46 @@ class GluedStructure:
         return np.where(r < lo, "P", np.where(r > hi, "Q", "neck"))
 
     def Omega_t(self, x) -> KForm:
-        x, r = self._radii(x)
-        t, alpha = self.config.t, self.config.alpha
-        s = r * t ** (-alpha)
-        F, Fp, _ = _cutoff_jet(s)
-        if self.perturbation is None:
-            dA = dr_A = 0.0
-        else:
-            dA, dr_A = self.perturbation.correction_terms(x, r)
-        # |x/t| is taken afresh, as Omega_p takes it, not rounded from r / t
-        dB, dr_B = self.ac.correction_terms(x / t)
-        out = (FLAT_OMEGA3.coeffs
-               + F[..., None] * dA
-               + (1.0 - F)[..., None] * dB)
-        if np.any(Fp != 0.0):
-            # dr ^ (A - B_t), B_t(x) = t B(x/t); dr is the same at x and x/t
-            seam = dr_A - t * dr_B
-            out = out + (Fp * t ** (-alpha))[..., None] * seam
-        return KForm(6, 3, out)
+        return KForm(6, 3, self.Omega_t_jet(x)[0])
 
-    def Omega_t_partials(self, x) -> np.ndarray:
-        """The x-partials d_k Omega_t at [..., k, :], k = 0..5, in closed
-        form: each side's correction_partials, d_k s = t^-alpha xhat_k for
-        the cutoff's argument s, and F'' for the seam term,
+    def Omega_t_jet(self, x) -> tuple:
+        """Coefficients of Omega_t at x and their x-partials d_k Omega_t at
+        [..., k, :], k = 0..5, from one cutoff jet and one correction_terms
+        of each side. With d_k s = t^-alpha xhat_k for the cutoff's
+        argument s = r t^-alpha and B_t(x) = t B(x/t),
 
+            Omega_t = Omega_V + F dA + (1 - F) dB_t
+                      + F' t^-alpha dr ^ (A - B_t),
             d_k Omega_t = F d_k dA + (1 - F) t^-1 (d_k dB)(x/t)
                           + F' t^-alpha xhat_k (dA - dB_t)
                           + F'' t^-2alpha xhat_k dr ^ (A - B_t)
                           + F' t^-alpha d_k (dr ^ (A - B_t)).
         """
         x, r = self._radii(x)
-        t, alpha = self.config.t, self.config.alpha
-        ta = t ** (-alpha)
-        s = r * ta
-        F, Fp, Fpp = _cutoff_jet(s)
-        y = x / t
-        # the side's fresh partials are scaled and summed in place
-        out, ddr_B = self.ac.correction_partials(y)
-        out *= ((1.0 - F) / t)[..., None, None]
+        t = self.config.t
+        ta = t ** (-self.config.alpha)
+        F, Fp, Fpp = _cutoff_jet(r * ta)
+        # |x/t| is taken afresh, as Omega_p takes it, not rounded from r / t
+        dB, dr_B, ddB, ddr_B = self.ac.correction_terms(x / t)
         if self.perturbation is None:
-            dA = dr_A = 0.0
-            seam_partials = -ddr_B
+            dA = dr_A = ddA = ddr_A = 0.0
         else:
-            ddA, seam_partials = self.perturbation.correction_partials(x, r)
-            ddA *= F[..., None, None]
-            out += ddA
-            seam_partials -= ddr_B
+            dA, dr_A, ddA, ddr_A = self.perturbation.correction_terms(x, r)
+        out = (FLAT_OMEGA3.coeffs
+               + F[..., None] * dA
+               + (1.0 - F)[..., None] * dB)
+        partials = (F[..., None, None] * ddA
+                    + ((1.0 - F) / t)[..., None, None] * ddB)
         if np.any(Fp != 0.0):
-            if self.perturbation is not None:
-                dA, dr_A = self.perturbation.correction_terms(x, r)
-            dB, dr_B = self.ac.correction_terms(y)
+            # dr ^ (A - B_t); dr is the same at x and x/t
+            seam = dr_A - t * dr_B
+            out = out + (Fp * ta)[..., None] * seam
             radial = ((Fp * ta)[..., None] * (dA - dB)
-                      + (Fpp * ta ** 2)[..., None] * (dr_A - t * dr_B))
-            out += (x / r[..., None])[..., :, None] * radial[..., None, :]
-            seam_partials *= (Fp * ta)[..., None, None]
-            out += seam_partials
-        return out
+                      + (Fpp * ta ** 2)[..., None] * seam)
+            partials = (partials
+                        + (x / r[..., None])[..., :, None] * radial[..., None, :]
+                        + (Fp * ta)[..., None, None] * (ddr_A - ddr_B))
+        return out, partials
 
     def Omega_q(self, x) -> KForm:
         """Pure cone-side branch Omega_V + dA."""
@@ -304,8 +289,8 @@ def build_glued(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
     zero, as for the unperturbed flat patch. The AC side contributes B =
     ac.correction_B with dB = (AC chart)^*(Omega_Y) - Omega_V. Each side's
     correction_terms gives the coefficients of its exact differential and
-    of its seam partner dr ^ A (or dr ^ B), sharing one |x| and one radial
-    product.
+    of its seam partner dr ^ A (or dr ^ B), and their x-partials, sharing
+    one |x| and one radial product.
 
     Refused: an AC rate not below -3 (RateOutOfRange: the glued volume
     form defect would not decay), an AC space modelled on a different
@@ -482,76 +467,58 @@ def _curvature_sup(ac: ACGeometry, seed: int = 0) -> float:
     return float(np.max(lower_tensor_norm(g, low, 4)))
 
 
-# nodes per Omega_t_partials and recovery tangent call: a 384-node block
-# runs faster in three such calls than in one, since the (nodes, 6, ...)
-# temporaries of a 128-node call stay in cache
-_TANGENT_BLOCK = 128
-
-
-def _neck_jet(glued: GluedStructure, x, nbatch: int):
-    """Omega_t at the points x, its recovery against the cone's Kaehler
-    form, and the scan's gradient fields there, exact: one Omega_t and one
-    recovery, then Omega_t_partials and the recovery tangent on chunks of
-    at most _TANGENT_BLOCK points.
+def _neck_fields(glued: GluedStructure, x, nbatch=None) -> dict:
+    """Every pointwise neck field of a scan row at the points x, exact,
+    from one Omega_t_jet, one recovery against the cone's Kaehler form
+    and one recovery tangent on the whole block: the defects of Omega_t
+    and of the recovered structure, and the gradient fields, no stencil.
 
     On the flat cone chart gradients are partials of coefficients, a
     k-form's scaled by sqrt(k!) to give the norm of its full tensor; the
     derivative index follows the batch axes. A sample that is not stable
-    or not positive raises, named by its last nbatch indices: its node in
-    a batch of that many axes, with any stacked shift axes in front
-    dropped.
+    or not positive raises NotStable or NotPositive, named by its last
+    nbatch indices (all of them by default): its node in a batch of that
+    many axes, with any stacked shift axes in front dropped.
     """
     x = np.asarray(x, float)
-    Om = glued.Omega_t(x).coeffs
-    out = su3._recover_batch(FLAT_OMEGA.coeffs, Om)
-    su3._raise_failures(out, nbatch)
     lead = x.shape[:-1]
-    flat = {k: v.reshape((-1,) + v.shape[len(lead):]) for k, v in out.items()}
-    xs, Oms = x.reshape(-1, 6), Om.reshape(-1, 20)
-    parts = []
-    for lo in range(0, len(xs), _TANGENT_BLOCK):
-        chunk = slice(lo, lo + _TANGENT_BLOCK)
-        dOm = glued.Omega_t_partials(xs[chunk])
-        tangent = su3._recover_tangent(FLAT_OMEGA.coeffs, Oms[chunk], dOm,
-                                       {k: v[chunk] for k, v in flat.items()})
-        parts.append((np.sqrt(2.0) * tangent["omega_prime"], tangent["g"],
-                      np.sqrt(6.0) * np.real(dOm)))
-    return Om, out, {
-        name: np.concatenate(arrays).reshape(lead + arrays[0].shape[1:])
-        for name, arrays in zip(("grad_omega", "grad_metric",
-                                 "grad_re_Omega"), zip(*parts))}
-
-
-def _neck_fields(glued: GluedStructure, x) -> dict:
-    """Every pointwise neck defect of a scan row at the nodes x, from one
-    _neck_jet: the gradients come with the values, no stencil runs. A
-    sample that fails the recovery raises NotStable or NotPositive whose
-    sample_index names its node in x.
-    """
-    Om, out, grads = _neck_jet(glued, x, np.ndim(x) - 1)
-    return {
-        "Omega_defect": KForm(6, 3, Om - FLAT_OMEGA3.coeffs),
-        "omega": KForm(6, 2, out["omega_prime"] - FLAT_OMEGA.coeffs),
-        "im_Omega": KForm(6, 3, np.imag(Om) - out["theta2_prime"]),
-        **grads,
+    Om, dOm = glued.Omega_t_jet(x.reshape(-1, 6))
+    out = su3._recover_batch(FLAT_OMEGA.coeffs, Om)
+    su3._raise_failures({key: out[key].reshape(lead)
+                         for key in ("stable", "positive")},
+                        len(lead) if nbatch is None else nbatch)
+    tangent = su3._recover_tangent(FLAT_OMEGA.coeffs, Om, dOm, out)
+    fields = {
+        "Omega_defect": Om - FLAT_OMEGA3.coeffs,
+        "omega": out["omega_prime"] - FLAT_OMEGA.coeffs,
+        "im_Omega": np.imag(Om) - out["theta2_prime"],
+        "grad_omega": np.sqrt(2.0) * tangent["omega_prime"],
+        "grad_metric": tangent["g"],
+        "grad_re_Omega": np.sqrt(6.0) * np.real(dOm),
     }
+    return {name: v.reshape(lead + v.shape[1:]) for name, v in fields.items()}
 
 
 def _neck_hessian(glued: GluedStructure, x) -> np.ndarray:
     """Second partials of sqrt(2) omega_prime at the nodes x, one central
-    difference of its exact gradient: 12 _neck_jet points per node and
+    difference of its exact gradient: 12 _neck_fields points per node and
     none at the node itself. A failing shift names its node in x."""
     nbatch = np.ndim(x) - 1
     return central_differences(
-        lambda y: _neck_jet(glued, y, nbatch)[2]["grad_omega"], x)
+        lambda y: _neck_fields(glued, y, nbatch)["grad_omega"], x)
 
 
 def _scan_row(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
               perturbation, curvature_c1: float) -> DefectRow:
     glued = build_glued(config, cone, ac, perturbation)
-    norms = region_norms(lambda x: _neck_fields(glued, x), cone,
-                         config.neck_bounds, config.n_radial, config.link_level)
-    hess = _neck_hessian(glued, _sup_grid(config))
+    try:
+        norms = region_norms(lambda x: _neck_fields(glued, x), cone,
+                             config.neck_bounds, config.n_radial,
+                             config.link_level)
+        hess = _neck_hessian(glued, _sup_grid(config))
+    except _SampleError as err:
+        raise type(err)(f"at t = {config.t:g}: {err}",
+                        sample_index=err.sample_index) from err
     hess_c0 = float(np.max(np.sqrt(np.sum(hess ** 2, axis=(1, 2, 3)))))
     return DefectRow(
         t=config.t,

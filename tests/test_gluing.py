@@ -211,10 +211,22 @@ class TestGluedStructure:
                                 rng.uniform(hi, 0.9, 8)])
         return radii[:, None] * unit_dirs(32, seed=seed)
 
-    @pytest.mark.parametrize("side", ["P", "neck", "Q"])
-    def test_partials_match_richardson_differences(self, glued, side):
+    @pytest.mark.parametrize(
+        "perturbed, side",
+        [(True, "P"), (True, "neck"), (True, "Q"),
+         (False, "P"), (False, "neck"), (False, "Q")],
+        ids=["P", "neck", "Q",
+             "unperturbed-P", "unperturbed-neck", "unperturbed-Q"])
+    def test_partials_match_richardson_differences(self, glued, geometry,
+                                                   perturbed, side):
         # (4 D(s/2) - D(s)) / 3 of the central difference D(s) of Omega_t,
-        # s = 1e-3 |x|, on each side of the neck and across its seam
+        # s = 1e-3 |x|, on each side of the neck and across its seam; the
+        # unperturbed structure has no A, so its seam is -dr ^ B_t alone
+        if not perturbed:
+            cone, ac, _ = geometry
+            glued = gl.build_glued(
+                gl.GluingConfig(t=0.1, conical_amplitude=0.0), cone, ac)
+            assert glued.perturbation is None
         x = self._across_chart(glued, 14)
         x = x[glued.region(x) == side]
         s = 1e-3 * np.linalg.norm(x, axis=-1)[:, None]
@@ -226,7 +238,7 @@ class TestGluedStructure:
                 for e in np.eye(6)], axis=1)
 
         want = (4.0 * central(0.5) - central(1.0)) / 3.0
-        got = glued.Omega_t_partials(x)
+        got = glued.Omega_t_jet(x)[1]
         assert len(x) >= 8
         assert got.shape == (len(x), 6, 20)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
@@ -281,12 +293,14 @@ class TestGluedStructure:
             np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
         assert calls == {"_theta2": 1}
 
-        # on the neck nodes: one xhat ^ iota_xhat Omega_V and one xhat ^ b
-        # per Omega_t call, and a recovery that certifies positivity
-        # without an eigensolve
+        # on the neck nodes: one xhat ^ iota_xhat Omega_V, one product
+        # with the table of its partials and one xhat ^ b per Omega_t
+        # call, and a recovery that certifies positivity without an
+        # eigensolve
         calls.clear()
         neck = gl._sup_grid(glued.config)
         tables = {id(cn._RADIAL_OMEGA3): "radial_Omega",
+                  id(cn._SYM_RADIAL_OMEGA3): "sym_radial_Omega",
                   id(geometry[2]._wedge_b): "xhat_b"}
         table_product = cn._table_product
 
@@ -300,7 +314,8 @@ class TestGluedStructure:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         Om = glued.Omega_t(neck).coeffs
-        assert calls == {"_radial_wedge": 1, "radial_Omega": 1, "xhat_b": 1}
+        assert calls == {"_radial_wedge": 1, "radial_Omega": 1,
+                         "sym_radial_Omega": 1, "xhat_b": 1}
         out = gl.su3._recover_batch(
             np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
         assert np.all(out["positive"])
@@ -413,18 +428,12 @@ class TestDefectScan:
 
     def test_row_evaluates_each_neck_sample_once(self, geometry,
                                                   monkeypatch):
-        seen = {"Omega_t": [], "recover": [], "partials": [],
-                "christoffel": 0}
-        omega_t, recover = gl.GluedStructure.Omega_t, gl.su3._recover_batch
-        partials = gl.GluedStructure.Omega_t_partials
+        seen = {"Omega_t_jet": [], "recover": [], "christoffel": 0}
+        jet, recover = gl.GluedStructure.Omega_t_jet, gl.su3._recover_batch
 
-        def counted_omega_t(self, x):
-            seen["Omega_t"].append(np.asarray(x, float).reshape(-1, 6))
-            return omega_t(self, x)
-
-        def counted_partials(self, x):
-            seen["partials"].append(np.asarray(x, float).reshape(-1, 6))
-            return partials(self, x)
+        def counted_jet(self, x):
+            seen["Omega_t_jet"].append(np.asarray(x, float).reshape(-1, 6))
+            return jet(self, x)
 
         def counted_recover(omega_c, Omega_c):
             seen["recover"].append(np.concatenate(
@@ -438,18 +447,17 @@ class TestDefectScan:
             return christoffel(*args, **kwargs)
 
         christoffel = an.christoffel
-        monkeypatch.setattr(gl.GluedStructure, "Omega_t", counted_omega_t)
+        monkeypatch.setattr(gl.GluedStructure, "Omega_t_jet", counted_jet)
         monkeypatch.setattr(gl.su3, "_recover_batch", counted_recover)
         monkeypatch.setattr(an, "christoffel", counted_christoffel)
-        monkeypatch.setattr(gl.GluedStructure, "Omega_t_partials",
-                            counted_partials)
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
-        for name in ("Omega_t", "recover", "partials"):
+        for name in ("Omega_t_jet", "recover"):
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
-        # the exact partials are taken at the evaluated samples only
-        assert np.array_equal(np.unique(np.concatenate(seen["partials"]), axis=0),
-                              np.unique(np.concatenate(seen["Omega_t"]), axis=0))
+        # each node's values and partials come from one jet, and each
+        # jet's values go to one recovery
+        assert sum(map(len, seen["recover"])) \
+            == sum(map(len, seen["Omega_t_jet"]))
         assert seen["christoffel"] == 0
 
     def test_row_expands_no_three_form_tensor(self, geometry, monkeypatch):
@@ -480,9 +488,10 @@ class TestDefectScan:
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
         # 192 coarse and 384 fine nodes, their gradients exact, and the 12
         # shifts of the 16 sup points, whose Hessian stencil needs no
-        # recovery at its centre
+        # recovery at its centre, in blocks of _BLOCK = 128 points: 2 + 3
+        # node blocks and 8 + 4 whole shifts
         assert sum(sizes) == 192 + 384 + 12 * 16
-        assert len(sizes) == 3
+        assert len(sizes) == 7
         assert max(sizes) <= an._BLOCK
 
     @pytest.mark.parametrize("shape", [(8,), (2, 4)])
@@ -495,12 +504,12 @@ class TestDefectScan:
         x = gl._sup_grid(glued.config)[:8]
         node = 5
         step = an.local_step(x[node], None)
-        omega_t, recover = gl.GluedStructure.Omega_t, gl.su3._recover_batch
+        jet, recover = gl.GluedStructure.Omega_t_jet, gl.su3._recover_batch
         last = {}
 
-        def stashing_omega_t(self, y):
+        def stashing_jet(self, y):
             last["y"] = np.asarray(y, float)
-            return omega_t(self, y)
+            return jet(self, y)
 
         def failing_recover(omega_c, Omega_c):
             out = recover(omega_c, Omega_c)
@@ -509,7 +518,7 @@ class TestDefectScan:
                                     & (offset < 2.0 * step))
             return out
 
-        monkeypatch.setattr(gl.GluedStructure, "Omega_t", stashing_omega_t)
+        monkeypatch.setattr(gl.GluedStructure, "Omega_t_jet", stashing_jet)
         monkeypatch.setattr(gl.su3, "_recover_batch", failing_recover)
         want = [int(i) for i in np.unravel_index(node, shape)]
         for lo, evaluate in ((0.0, gl._neck_fields),
@@ -518,6 +527,31 @@ class TestDefectScan:
             with pytest.raises(error) as err:
                 evaluate(glued, x.reshape(shape + (6,)))
             assert err.value.sample_index == want
+
+    def test_row_failure_names_its_node_in_the_pass(self):
+        # the default configuration at t = 0.4 and amplitude 5 fails in
+        # the 6-radial-node pass; the error names the pass's first unstable
+        # node, as one recovery over all of that pass's nodes finds it
+        cfg = gl.GluingConfig(t=0.4, conical_amplitude=5.0)
+        cone, ac, pert = gl._standard_geometry(cfg)
+        with pytest.raises(NotStable) as err:
+            gl._scan_row(cfg, cone, ac, pert, 1.0)
+        glued = gl.build_glued(cfg, cone, ac, pert)
+        link, _ = cn.link_quadrature(cone, *cfg.link_level)
+        lo, hi = cfg.neck_bounds
+        nodes, _ = np.polynomial.legendre.leggauss(cfg.n_radial)
+        r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        x = (r[:, None, None] * link[None]).reshape(-1, 6)
+        Om = np.concatenate([glued.Omega_t_jet(x[i:i + an._BLOCK])[0]
+                             for i in range(0, len(x), an._BLOCK)])
+        stable = gl.su3._recover_batch(cn.FLAT_OMEGA.coeffs, Om)["stable"]
+        first = int(np.argmin(stable))
+        assert not stable[first]
+        assert (first, len(x)) == (6148, 18432)
+        assert err.value.sample_index == [first]
+        message = str(err.value)
+        assert "t = 0.4" in message and "6-radial-node pass" in message
+        assert f"[{first}]" in message
 
     def test_exact_gradient_beats_the_stencil(self, glued):
         # at t = 0.1 the 12-shift stencil the gradients came from, written
@@ -537,7 +571,7 @@ class TestDefectScan:
                 for e in np.eye(6)], axis=1)
 
         limit = (4.0 * stencil(0.5) - stencil(1.0)) / 3.0
-        exact = gl._neck_jet(glued, x, 1)[2]["grad_omega"]
+        exact = gl._neck_fields(glued, x)["grad_omega"]
         stencil_error = np.max(np.abs(stencil(1.0) - limit))
         exact_error = np.max(np.abs(exact - limit))
         assert stencil_error > 1e-7 * np.max(np.abs(limit))
