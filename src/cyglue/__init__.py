@@ -40,8 +40,7 @@ from .moser import (
 )
 from .gluing import (
     DefectScan, GluedStructure, GluingConfig, Thm52Verdict, build_glued,
-    cutoff_F, defect_scan, exponent_implication_check, nearly_cy_on_neck,
-    thm52_check,
+    cutoff_F, defect_scan, nearly_cy_on_neck, thm52_check,
 )
 
 __all__ = [
@@ -65,5 +64,5 @@ __all__ = [
     "moser_integrate",
     "GluingConfig", "GluedStructure", "DefectScan", "Thm52Verdict",
     "cutoff_F", "build_glued", "nearly_cy_on_neck", "defect_scan",
-    "exponent_implication_check", "thm52_check",
+    "thm52_check",
 ]

@@ -46,7 +46,7 @@ _BLOCK = 128
 
 @dataclass(frozen=True)
 class NormReport:
-    """Region norms of a pointwise-normed field with quadrature metadata.
+    """Region norms of a pointwise field, its quadrature error and volume.
 
     quad_error estimates the L2 quadrature error by radial node doubling;
     volume is the measure of the region, used by the Hoelder sanity bounds
@@ -56,7 +56,6 @@ class NormReport:
     c0: float
     l2: float
     l12: float
-    grid: dict
     quad_error: float
     volume: float
 
@@ -86,18 +85,17 @@ def shell_grid(r_lo, r_hi, n_dirs: int, n_radii: int, seed: int) -> np.ndarray:
     return (r[:, None, None] * v[None, :, :]).reshape(-1, 6)
 
 
-def central_differences(f, x: np.ndarray, h=None):
+def central_differences(f, x: np.ndarray, h=None) -> np.ndarray:
     """Central-difference partials d_i f at x, with the step local_step(x, h).
 
-    f maps points (..., dim) to an array, or to a dict of named arrays, over
-    the same batch axes, and must accept any leading batch axes: it
-    receives the 2 dim shifts x + step e_i (shift 2i) and x - step e_i
-    (shift 2i + 1) stacked on a new leading axis, a chunk of whole shifts
-    at a time, each chunk at most _BLOCK points and at least one shift.
-    Each chunk is differenced into the output as it arrives, the plus
-    shift copied, the minus shift subtracted and the difference divided by
-    2 step in place, so the result does not depend on the chunking. Each
-    result carries the derivative index i right after the batch axes.
+    f maps points (..., dim) to an array over the same batch axes and must
+    accept any leading batch axes: it receives the 2 dim shifts
+    x + step e_i (shift 2i) and x - step e_i (shift 2i + 1) stacked on a
+    new leading axis, a chunk of whole shifts at a time, each chunk at
+    most _BLOCK points and at least one shift. The chunks' values are
+    joined and differenced once, (plus - minus) / (2 step), so the result
+    does not depend on the chunking. It is one C-contiguous array with
+    the derivative index i right after the batch axes.
     """
     x = np.asarray(x, float)
     dim, nbatch = x.shape[-1], x.ndim - 1
@@ -105,24 +103,11 @@ def central_differences(f, x: np.ndarray, h=None):
     hp = np.moveaxis(step[..., None, None] * np.eye(dim), -2, 0)
     shifts = np.stack([x + hp, x - hp], axis=1).reshape((2 * dim,) + x.shape)
     per_call = max(1, _BLOCK // max(1, step.size))
-    out = {}
-    for lo in range(0, 2 * dim, per_call):
-        vals = f(shifts[lo:lo + per_call])
-        named = isinstance(vals, dict)
-        for name, v in (vals if named else {None: vals}).items():
-            v = np.asarray(v)
-            if name not in out:
-                shape = step.shape + (dim,) + v.shape[1 + nbatch:]
-                out[name] = np.empty(shape, np.result_type(v, step))
-            for k, val in enumerate(v, start=lo):
-                dest = out[name][(slice(None),) * nbatch + (k // 2, ...)]
-                if k % 2 == 0:
-                    dest[...] = val
-                else:
-                    dest -= val
-                    dest /= (2.0 * step).reshape(
-                        step.shape + (1,) * (val.ndim - nbatch))
-    return out if named else out[None]
+    vals = np.concatenate([f(shifts[lo:lo + per_call])
+                           for lo in range(0, 2 * dim, per_call)])
+    denom = 2.0 * step.reshape(step.shape + (1,) * (vals.ndim - 1 - nbatch))
+    diff = (vals[0::2] - vals[1::2]) / denom
+    return np.ascontiguousarray(np.moveaxis(diff, 0, nbatch))
 
 
 def second_differences(f, x: np.ndarray, h=None) -> np.ndarray:
@@ -284,13 +269,13 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
     with the cone measure r^5 dr dmu.
 
     fields maps a batch of nodes to a dict of values, each a KForm batch
-    or a plain lowered-tensor ndarray; every value is measured in the same
-    node pass and the result maps each name to its NormReport. The cone
-    chart is flat with the identity metric, so pointwise norms are
-    Euclidean: |coeffs| for a form and the Frobenius norm for a tensor,
-    which gives sqrt(k!) |coeffs| for the full tensor of a k-form. The
-    scan's grad_* fields are therefore the partials of the coefficients,
-    which it computes exactly, with the values, at each block's nodes.
+    or a plain lowered-tensor ndarray, all measured in one node pass; the
+    result maps each name to its NormReport, which does not echo the
+    grid. The cone chart is flat with the identity metric, so pointwise
+    norms are Euclidean: |coeffs| for a form and the Frobenius norm for a
+    tensor, which gives sqrt(k!) |coeffs| for the full tensor of a
+    k-form. The scan's grad_* fields are the partials of the coefficients,
+    computed exactly with the values at each block's nodes.
 
     Two passes run, on n_radial and on 2 n_radial radial nodes: C0 is the
     maximum over the nodes of both, the reported L2 and the L12 sum come
@@ -336,11 +321,8 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
 
     coarse, fine = norms(n_radial), norms(2 * n_radial)
     volume = float(np.sum(wts)) * (b ** 6 - a ** 6) / 6.0
-    grid = {"n_radial": n_radial, "link_level": tuple(link_level),
-            "r_bounds": (a, b)}
     return {
         name: NormReport(c0=max(coarse[name][2], c0), l2=l2, l12=l12,
-                         grid=dict(grid),
                          quad_error=abs(l2 - coarse[name][0]), volume=volume)
         for name, (l2, l12, c0) in fine.items()
     }

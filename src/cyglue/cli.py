@@ -462,18 +462,14 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
     return RunConfig(**data)
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _finite(obj):
-    """obj with numpy arrays and scalars as Python values and every
-    non-finite number replaced by None: strict JSON has no NaN or
-    Infinity."""
+    """obj with numpy arrays and scalars as Python values, fractions as
+    strings and every non-finite number replaced by None: strict JSON has
+    no NaN or Infinity."""
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
+    if isinstance(obj, Fraction):
+        return str(obj)
     if isinstance(obj, float):
         return obj if np.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -490,8 +486,7 @@ def write_report(report: RunReport, out_dir: str) -> Path:
     payload["overall_pass"] = report.overall_pass
     target = path / "report.json"
     with open(target, "w") as fh:
-        json.dump(_finite(payload), fh, indent=2, default=_jsonable,
-                  allow_nan=False)
+        json.dump(_finite(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
     return target
 
@@ -539,8 +534,7 @@ def main(argv=None) -> int:
                                     f"numbers, got {args.t_list!r}")
         config = load_config(args.config, overrides)
         if config.command == "list-geometries":
-            text = json.dumps(list_geometries(), indent=2,
-                              default=_jsonable)
+            text = json.dumps(list_geometries(), indent=2)
             print(text)
             if args.out is not None:
                 out = Path(args.out)

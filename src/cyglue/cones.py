@@ -31,26 +31,13 @@ __all__ = [
     "FLAT_OMEGA", "FLAT_OMEGA3", "J_STANDARD",
 ]
 
-_OM0 = np.zeros(15)
-_RE0 = np.zeros(20)
-_IM0 = np.zeros(20)
-
-
-def _seed_flat_constants():
-    r2 = mi.index_rank(6, 2)
-    r3 = mi.index_rank(6, 3)
-    for I, c in {(0, 1): 1, (2, 3): 1, (4, 5): 1}.items():
-        _OM0[r2[I]] = c
-    for I, c in {(0, 2, 4): 1, (0, 3, 5): -1, (1, 2, 5): -1, (1, 3, 4): -1}.items():
-        _RE0[r3[I]] = c
-    for I, c in {(1, 2, 4): 1, (0, 2, 5): 1, (0, 3, 4): 1, (1, 3, 5): -1}.items():
-        _IM0[r3[I]] = c
-
-
-_seed_flat_constants()
-
-FLAT_OMEGA = KForm(6, 2, _OM0.copy())
-FLAT_OMEGA3 = KForm(6, 3, _RE0 + 1j * _IM0)
+FLAT_OMEGA = KForm.from_components(6, 2, {(0, 1): 1.0, (2, 3): 1.0,
+                                          (4, 5): 1.0})
+FLAT_OMEGA3 = (KForm.from_components(6, 3, {(0, 2, 4): 1.0, (0, 3, 5): -1.0,
+                                            (1, 2, 5): -1.0, (1, 3, 4): -1.0})
+               + 1j * KForm.from_components(6, 3, {
+                   (1, 2, 4): 1.0, (0, 2, 5): 1.0, (0, 3, 4): 1.0,
+                   (1, 3, 5): -1.0}))
 
 
 def _real_table(table: np.ndarray) -> np.ndarray:
@@ -169,7 +156,7 @@ def _broadcast_flat(x: np.ndarray) -> FieldSample:
         raise DimensionMismatch("cone samples must have 6 ambient coordinates")
     shape = x.shape[:-1]
     g = MetricTensor(6, np.broadcast_to(np.eye(6), shape + (6, 6)), _checked=True)
-    om = KForm(6, 2, np.broadcast_to(_OM0, shape + (15,)))
+    om = KForm(6, 2, np.broadcast_to(FLAT_OMEGA.coeffs, shape + (15,)))
     Om = KForm(6, 3, np.broadcast_to(FLAT_OMEGA3.coeffs, shape + (20,)))
     return FieldSample(g, om, Om)
 
@@ -342,24 +329,25 @@ def lie_derivative_check(cone: ConeGeometry, field_selector: str,
 # ---------------------------------------------------------------------------
 # hermitian form conversions
 
-def hermitian_to_omega(H: np.ndarray) -> KForm:
-    """Real 2-form of (i/2) sum H_kl dz_k ^ dzbar_l for hermitian H."""
+def _real_blocks(H: np.ndarray) -> np.ndarray:
+    """The (6, 6) real table of a hermitian H in the J-standard frame:
+    Re H on the (u, u) and (v, v) entries, Im H on (u, v) and -Im H on
+    (v, u). It is the metric of H when H is positive; nothing is checked."""
     H = np.asarray(H, complex)
     P, Q = H.real, H.imag
-    r2 = mi.index_rank(6, 2)
-    out = np.zeros(H.shape[:-2] + (15,))
-    for k in range(3):
-        for l in range(3):
-            uk, vl = 2 * k, 2 * l + 1
-            if uk < vl:
-                out[..., r2[(uk, vl)]] += P[..., k, l]
-            else:
-                out[..., r2[(vl, uk)]] -= P[..., k, l]
-    for k in range(3):
-        for l in range(k + 1, 3):
-            out[..., r2[(2 * k, 2 * l)]] -= Q[..., k, l]
-            out[..., r2[(2 * k + 1, 2 * l + 1)]] -= Q[..., k, l]
-    return KForm(6, 2, out)
+    g = np.zeros(H.shape[:-2] + (6, 6))
+    g[..., 0::2, 0::2] = P
+    g[..., 1::2, 1::2] = P
+    g[..., 0::2, 1::2] = Q
+    g[..., 1::2, 0::2] = -Q
+    return g
+
+
+def hermitian_to_omega(H: np.ndarray) -> KForm:
+    """Real 2-form of (i/2) sum H_kl dz_k ^ dzbar_l for hermitian H: the
+    metric table with J applied, omega(X, Y) = g(J X, Y)."""
+    return KForm(6, 2, mi.tensor_to_coeffs(J_STANDARD.T @ _real_blocks(H),
+                                           6, 2))
 
 
 def hermitian_to_metric(H: np.ndarray) -> MetricTensor:
@@ -376,13 +364,7 @@ def hermitian_to_metric(H: np.ndarray) -> MetricTensor:
     m3 = mi._det3(H).real
     if min(np.min(m1), np.min(m2), np.min(m3)) <= 0:
         raise DegenerateMetric("hermitian form is not positive definite")
-    P, Q = H.real, H.imag
-    g = np.zeros(H.shape[:-2] + (6, 6))
-    g[..., 0::2, 0::2] = P
-    g[..., 1::2, 1::2] = P
-    g[..., 0::2, 1::2] = Q
-    g[..., 1::2, 0::2] = -Q
-    return MetricTensor(6, g, _checked=True)
+    return MetricTensor(6, _real_blocks(H), _checked=True)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -48,8 +47,7 @@ __all__ = [
     "GluingConfig", "GluedStructure", "NeckReport",
     "DefectRow", "DefectScan", "Thm52Verdict",
     "cutoff_F", "cutoff_F_prime", "cutoff_F_second", "build_glued",
-    "nearly_cy_on_neck", "defect_scan", "thm52_check",
-    "exponent_implication_check", "SCAN_COLUMNS",
+    "nearly_cy_on_neck", "defect_scan", "thm52_check", "SCAN_COLUMNS",
 ]
 
 
@@ -584,8 +582,6 @@ _MEASURED_REQUIREMENTS = {
     **{name: family for name, (_, _, family) in _NORM_COLUMNS.items()},
     "hess_omega_c0": "hess"}
 
-_IMPLICATION_TRIALS = 100
-
 
 def _branch_rates(nu: Fraction, lam: Fraction, alpha: Fraction) -> dict:
     """C0 rates of the two neck-defect terms: the AC term decays at
@@ -615,41 +611,19 @@ def _ledger_inequalities(nu: Fraction, lam: Fraction, alpha: Fraction,
             for branch, g in rates.items()}
 
 
-def exponent_implication_check(n_trials: int = 100, seed: int = 0) -> bool:
-    """The volume-weighted family implies the whole ledger when alpha <= 1.
-
-    Draws random admissible rational (nu, lam, alpha), takes kappa as the
-    exact slack of the L2 family, and checks the other eight inequalities
-    in exact arithmetic. Returns True only if every trial passes.
-    """
-    rng = random.Random(seed)
-    c = _FAMILY_OFFSETS["l2"]
-    for _ in range(n_trials):
-        nu = Fraction(rng.randint(1, 120), rng.randint(1, 12))
-        lam = -3 - Fraction(rng.randint(1, 120), rng.randint(1, 12))
-        alpha = Fraction(rng.randint(1, 99), 100)
-        kappa = min(c * alpha + g - c
-                    for g in _branch_rates(nu, lam, alpha).values())
-        led = _ledger_inequalities(nu, lam, alpha, kappa)
-        assert led["l2_ac"] and led["l2_conical"]
-        if not all(led.values()):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Thm52Verdict:
     """Exact and measured exponent ledger for one scan.
 
-    fits holds the scan's fitted_exponents() (empty without a scan), so
-    readers of the verdict need not fit the scan again.
+    implication_pass is decided by its proof (see thm52_check), not by
+    sampling. fits holds the scan's fitted_exponents() (empty without a
+    scan), so readers of the verdict need not fit the scan again.
     """
 
     alpha: Fraction
     kappa: Fraction
     gamma: Fraction
     exact: dict
-    implication_trials: int
     implication_pass: bool
     measured: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
@@ -668,8 +642,9 @@ def thm52_check(scan: Optional[DefectScan], config: GluingConfig,
     The ledger (verdict.exact) holds c alpha + g >= c + kappa for each
     family offset c of _FAMILY_OFFSETS (C0 0, L2 3, L12 of a gradient
     -1/2, gradient sup -1, Hessian sup -2) and each branch rate g of
-    _branch_rates, keyed <family>_<branch>. The implication check runs
-    _IMPLICATION_TRIALS exact draws seeded by config.seed.
+    _branch_rates, keyed <family>_<branch>. The implication check is
+    exact and draws nothing: it holds when alpha < 1 and no family
+    offset exceeds the L2 one.
 
     The scan is fitted once; verdict.fits keeps the fits. Each column of
     _MEASURED_REQUIREMENTS gets a measured entry with its required rate
@@ -680,8 +655,13 @@ def thm52_check(scan: Optional[DefectScan], config: GluingConfig,
     """
     nu, lam, alpha, kappa, gamma = _exact_rates(config)
     exact = _ledger_inequalities(nu, lam, alpha, kappa)
-    implication = exponent_implication_check(_IMPLICATION_TRIALS,
-                                             seed=config.seed)
+    # The L2 family's slack is kappa_2 = min_b (3 alpha + g_b - 3). For
+    # every offset c and branch b, c alpha + g_b - c - kappa_2 >=
+    # (3 - c)(1 - alpha), with equality at the minimising branch. So for
+    # alpha < 1 the L2 family implies the whole ledger, for every (nu,
+    # lam), exactly when no offset exceeds the L2 offset 3.
+    implication = (alpha < 1 and max(_FAMILY_OFFSETS.values())
+                   <= _FAMILY_OFFSETS["l2"])
     fits = {} if scan is None else scan.fitted_exponents()
     measured = {}
     if scan is not None:
@@ -696,6 +676,5 @@ def thm52_check(scan: Optional[DefectScan], config: GluingConfig,
                 entry["pass"] = entry["fitted"] >= required - fit_slack
             measured[name] = entry
     return Thm52Verdict(alpha=alpha, kappa=kappa, gamma=gamma, exact=exact,
-                        implication_trials=_IMPLICATION_TRIALS,
                         implication_pass=implication, measured=measured,
                         fits=fits)

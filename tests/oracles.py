@@ -6,6 +6,7 @@ written against the definitions directly, with no shared code or precomputed
 tables, so agreement with the package is meaningful.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -122,6 +123,26 @@ def rand_exact_form(rng, dim, k, lo=-3, hi=3):
         if c:
             out[I] = c
     return out
+
+
+def l2_implies_ledger_on_draws(n_trials, seed):
+    """Whether the L2 family of Theorem 5.2's ledger implies the other
+    eight inequalities on n_trials seeded random admissible rational
+    (nu, lam, alpha), kappa being the L2 family's exact slack and the
+    ledger the package's gluing._ledger_inequalities."""
+    from cyglue import gluing as gl
+    rng = random.Random(seed)
+    for _ in range(n_trials):
+        nu = Fraction(rng.randint(1, 120), rng.randint(1, 12))
+        lam = -3 - Fraction(rng.randint(1, 120), rng.randint(1, 12))
+        alpha = Fraction(rng.randint(1, 99), 100)
+        kappa = min(3 * alpha - lam * (1 - alpha) - 3,
+                    3 * alpha + alpha * nu - 3)
+        led = gl._ledger_inequalities(nu, lam, alpha, kappa)
+        assert led["l2_ac"] and led["l2_conical"]
+        if not all(led.values()):
+            return False
+    return True
 
 
 FLAT_OMEGA0 = {(0, 1): 1, (2, 3): 1, (4, 5): 1}

@@ -190,6 +190,14 @@ class TestFastSuites:
         alpha = report["checks"][0]
         assert alpha["name"] == "alpha" and alpha["predicted"] == 0.78
 
+    def test_thm52_fails_when_an_offset_exceeds_l2(self, monkeypatch):
+        monkeypatch.setattr(gl, "_FAMILY_OFFSETS",
+                            dict(gl._FAMILY_OFFSETS, steep=Fraction(4)))
+        report = cli.run(cli.RunConfig(command="thm52"))
+        failed = {c.name for c in report.checks if not c.passed}
+        assert "l2_implies_remaining_inequalities" in failed
+        assert not report.overall_pass
+
 
 class TestListGeometries:
     def test_catalogue(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,30 @@ class TestHermitianConversions:
         g = cn.hermitian_to_metric(H).components
         want = np.einsum("ai,aj->ij", cn.J_STANDARD, g)
         assert np.allclose(om_t, want, atol=1e-13)
+
+    def test_omega_matches_index_pair_expansion(self):
+        # (i/2) H_kl dz_k ^ dzbar_l written out pair by pair in the real
+        # coordinates (u_k, v_k): P_kl du_k ^ dv_l, and -Q_kl on both
+        # du_k ^ du_l and dv_k ^ dv_l for k < l; indefinite H included
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal(
+            (40, 3, 3))
+        H = M + np.conj(np.swapaxes(M, -1, -2))
+        P, Q = H.real, H.imag
+        rank = {I: n for n, I in enumerate(itertools.combinations(range(6),
+                                                                  2))}
+        want = np.zeros((40, 15))
+        for k in range(3):
+            for l in range(3):
+                uk, vl = 2 * k, 2 * l + 1
+                if uk < vl:
+                    want[:, rank[(uk, vl)]] += P[:, k, l]
+                else:
+                    want[:, rank[(vl, uk)]] -= P[:, k, l]
+            for l in range(k + 1, 3):
+                want[:, rank[(2 * k, 2 * l)]] -= Q[:, k, l]
+                want[:, rank[(2 * k + 1, 2 * l + 1)]] -= Q[:, k, l]
+        assert np.array_equal(cn.hermitian_to_omega(H).coeffs, want)
 
     def test_rejects_indefinite_form(self):
         H = np.diag([1.0, -2.0, 1.0]).astype(complex)

@@ -33,7 +33,7 @@ def test_neck_defect_scan_demo_reports_the_ledger():
     out = proc.stdout
     assert "kappa = 0.6" in out
     assert "exact inequality ledger: 10 of 10 hold" in out
-    assert "(100 exact rational draws)" in out
+    assert "L2 rates imply the whole ledger: True" in out
     assert "overall: True" in out
     # fitted, predicted gamma + 3 alpha and required kappa + 3 of the L2 column
     row = re.search(r"Omega_defect_l2\s+(\S+)\s+(\S+)\s+(\S+)", out)

@@ -15,6 +15,8 @@ from cyglue.errors import (ConfigInvalid, NotPositive, NotStable,
                            RateOutOfRange)
 from cyglue.forms import KForm, form_norm, wedge
 
+import oracles as oc
+
 
 def unit_dirs(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -694,7 +696,7 @@ class TestExponentLedger:
         assert v.kappa == Fraction(3, 5)
         assert v.gamma == Fraction(6, 5)
         assert len(v.exact) == 10 and all(v.exact.values())
-        assert v.implication_pass and v.implication_trials == 100
+        assert v.implication_pass
         assert v.measured == {} and v.all_pass
 
     def test_exact_second_pair(self):
@@ -712,8 +714,20 @@ class TestExponentLedger:
         assert not v.all_pass
 
     def test_implication_holds_on_random_rational_data(self):
-        assert gl.exponent_implication_check(100, seed=0)
-        assert gl.exponent_implication_check(50, seed=7)
+        assert oc.l2_implies_ledger_on_draws(100, seed=0)
+        assert oc.l2_implies_ledger_on_draws(50, seed=7)
+
+    @pytest.mark.parametrize("offset, holds", [(4, False), (3, True),
+                                               (-7, True)])
+    def test_implication_fails_only_above_the_l2_offset(self, monkeypatch,
+                                                        offset, holds):
+        offsets = dict(gl._FAMILY_OFFSETS, extra=Fraction(offset))
+        monkeypatch.setattr(gl, "_FAMILY_OFFSETS", offsets)
+        v = gl.thm52_check(None, gl.GluingConfig(t=0.1))
+        assert v.implication_pass is holds
+        assert oc.l2_implies_ledger_on_draws(100, seed=0) is holds
+        if not holds:
+            assert not v.all_pass
 
     def test_vanishing_columns_pass_trivially(self):
         v = gl.thm52_check(_zero_scan(), gl.GluingConfig(t=0.1))
