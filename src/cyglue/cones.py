@@ -90,14 +90,18 @@ def _polar(x: np.ndarray, r=None) -> tuple:
 
 
 def _symmetrized_radial(radial: np.ndarray) -> np.ndarray:
-    """The table of the x-partials of x ^ iota_x of a form, from its
-    e_i ^ iota_{e_j} table: row j holds e_k ^ iota_{e_j} + e_j ^ iota_{e_k}
-    for k = 0..5, so that with the product reshaped to (..., 6, cols)
+    """The real table of the x-partials of Re(x ^ iota_x form), from the
+    form's e_i ^ iota_{e_j} table: row j holds the real parts of
+    e_k ^ iota_{e_j} + e_j ^ iota_{e_k} for k = 0..5, so that
 
-        d_k (x ^ iota_x form) = |x| _table_product(xhat, table)[..., k, :].
+        d_k Re(x ^ iota_x form) = |x| (xhat @ table)[..., k, :]
+
+    with the product reshaped to (..., 6, cols).
     """
-    R = radial.view(np.complex128).reshape(6, 6, -1)
-    return _real_table((R + R.transpose(1, 0, 2)).reshape(6, -1))
+    R = radial.view(np.complex128).reshape(6, 6, -1).real
+    out = np.ascontiguousarray((R + R.transpose(1, 0, 2)).reshape(6, -1))
+    out.setflags(write=False)
+    return out
 
 
 _, _IOTA_OMEGA3, _RADIAL_OMEGA3 = _frame_tables(FLAT_OMEGA3)
@@ -484,14 +488,20 @@ class ACGeometry:
         return KForm(6, 3, self.correction_terms(x)[0])
 
     def correction_terms(self, x: np.ndarray) -> tuple:
-        """Coefficients of (correction_dB, dr ^ correction_B) at x and their
-        x-partials d_k at [..., k, :], from one |x|, one square root for
-        the profile c and its first two derivatives, and one
-        dr ^ iota_dr Omega. With P = x ^ iota_x Omega and S_k = d_k P / r,
+        """Coefficients of (correction_dB, dr ^ correction_B) at x and the
+        x-partials d_k of their real parts at [..., k, :], from one |x|,
+        one square root for the profile c and its first two derivatives,
+        and one dr ^ iota_dr Omega. With P = x ^ iota_x Omega and
+        S_k = d_k Re P / r,
 
             dB = c Omega + c' P / (3 r),  dr ^ B = c P / (3 r),
-            d_k dB = xhat_k (c' Omega + (c'' r - c') P / (3 r^2)) + c' S_k / 3,
-            d_k (dr ^ B) = xhat_k (c' r - c) P / (3 r^2) + c S_k / 3.
+            d_k Re dB = xhat_k (c' Re Omega + (c'' r - c') Re P / (3 r^2))
+                        + c' S_k / 3,
+            d_k Re (dr ^ B) = xhat_k (c' r - c) Re P / (3 r^2) + c S_k / 3.
+
+        The values are complex and the partials real (..., 6, 20): every
+        scalar factor is real, so the real parts come from the real
+        halves of the tables.
         """
         r, xhat = _polar(x)
         a6 = self.resolution_scale ** 6
@@ -500,16 +510,16 @@ class ACGeometry:
         cp = 3.0 * a6 / (r ** 7 * root)
         cpp = -21.0 * a6 / (r ** 8 * root) - 9.0 * a6 ** 2 / (r ** 14 * root ** 3)
         radial = _radial_wedge(xhat, _RADIAL_OMEGA3)
-        S = _table_product(xhat, _SYM_RADIAL_OMEGA3).reshape(
-            xhat.shape[:-1] + (6, 20))
+        re_radial = radial.real
+        S = (xhat @ _SYM_RADIAL_OMEGA3).reshape(xhat.shape[:-1] + (6, 20))
         along = xhat[..., :, None]
         return (c[..., None] * FLAT_OMEGA3.coeffs
                 + (cp * r / 3.0)[..., None] * radial,
                 (c * r / 3.0)[..., None] * radial,
-                along * (cp[..., None] * FLAT_OMEGA3.coeffs
-                         + ((cpp * r - cp) / 3.0)[..., None] * radial)[..., None, :]
+                along * (cp[..., None] * FLAT_OMEGA3.coeffs.real
+                         + ((cpp * r - cp) / 3.0)[..., None] * re_radial)[..., None, :]
                 + (cp / 3.0)[..., None, None] * S,
-                along * (((cp * r - c) / 3.0)[..., None] * radial)[..., None, :]
+                along * (((cp * r - c) / 3.0)[..., None] * re_radial)[..., None, :]
                 + (c / 3.0)[..., None, None] * S)
 
     def _profile_c(self, r):
@@ -614,15 +624,17 @@ class SyntheticPerturbation:
         return KForm(6, 3, self.correction_terms(x)[0])
 
     def correction_terms(self, x: np.ndarray, r=None) -> tuple:
-        """Coefficients of (dA, dr ^ primitive_A) at x and their x-partials
-        d_k at [..., k, :], from one |x| (or the given r) and one
-        xhat ^ b: dA = amplitude (nu+3) r^(nu-1) x ^ b and dr ^ primitive_A
-        = amplitude r^nu x ^ b, differentiated with the rows e_k ^ b of
-        the same wedge table."""
+        """Coefficients of (dA, dr ^ primitive_A) at x and the x-partials
+        d_k of their real parts at [..., k, :], from one |x| (or the
+        given r) and one xhat ^ b: dA = amplitude (nu+3) r^(nu-1) x ^ b
+        and dr ^ primitive_A = amplitude r^nu x ^ b, differentiated with
+        the rows e_k ^ Re b of the real half of the same wedge table. The
+        values are complex and the partials real (..., 6, 20).
+        """
         r, xhat = _polar(x, r)
         xhat_b = _table_product(xhat, self._wedge_b)
-        along = xhat[..., :, None] * xhat_b[..., None, :]
-        e_b = self._wedge_b.view(np.complex128)
+        along = xhat[..., :, None] * xhat_b.real[..., None, :]
+        e_b = self._wedge_b[:, 0::2]
         a, nu = self.amplitude, self.nu
         return ((a * (nu + 3.0) * r ** nu)[..., None] * xhat_b,
                 (a * r ** (nu + 1.0))[..., None] * xhat_b,

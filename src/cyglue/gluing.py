@@ -17,9 +17,10 @@ Scan rows collect neck norms of the defect, of the structure recovered
 from Omega_t, and of its first two derivatives, then fit t-exponents and
 compare them with the rational inequality ledger that the existence
 argument needs. The first derivatives are exact: Omega_t_jet gives
-Omega_t and its partials in closed form from one pass, and the recovery
-carries them in forward mode (su3._recover_tangent); the second
-derivatives are one central difference of them.
+Omega_t and the partials of Re Omega_t, the only ones the recovery and
+the norms read, in closed form from one pass, and the recovery carries
+them in forward mode (su3._recover_tangent); the second derivatives are
+one central difference of them.
 """
 
 from __future__ import annotations
@@ -205,10 +206,11 @@ class GluedStructure:
         return KForm(6, 3, self.Omega_t_jet(x)[0])
 
     def Omega_t_jet(self, x) -> tuple:
-        """Coefficients of Omega_t at x and their x-partials d_k Omega_t at
-        [..., k, :], k = 0..5, from one cutoff jet and one correction_terms
-        of each side. With d_k s = t^-alpha xhat_k for the cutoff's
-        argument s = r t^-alpha and B_t(x) = t B(x/t),
+        """Coefficients of Omega_t at x, complex (..., 20), and the
+        x-partials d_k Re Omega_t of their real parts at [..., k, :],
+        real (..., 6, 20), k = 0..5, from one cutoff jet and one
+        correction_terms of each side. With d_k s = t^-alpha xhat_k for
+        the cutoff's argument s = r t^-alpha and B_t(x) = t B(x/t),
 
             Omega_t = Omega_V + F dA + (1 - F) dB_t
                       + F' t^-alpha dr ^ (A - B_t),
@@ -216,6 +218,9 @@ class GluedStructure:
                           + F' t^-alpha xhat_k (dA - dB_t)
                           + F'' t^-2alpha xhat_k dr ^ (A - B_t)
                           + F' t^-alpha d_k (dr ^ (A - B_t)).
+
+        Every scalar factor is real, so d_k Re Omega_t is this sum over
+        the real parts. The recovery reads only Re Omega_t's partials.
         """
         x, r = self._radii(x)
         t = self.config.t
@@ -236,8 +241,8 @@ class GluedStructure:
             # dr ^ (A - B_t); dr is the same at x and x/t
             seam = dr_A - t * dr_B
             out = out + (Fp * ta)[..., None] * seam
-            radial = ((Fp * ta)[..., None] * (dA - dB)
-                      + (Fpp * ta ** 2)[..., None] * seam)
+            radial = ((Fp * ta)[..., None] * (np.real(dA) - dB.real)
+                      + (Fpp * ta ** 2)[..., None] * seam.real)
             partials = (partials
                         + (x / r[..., None])[..., :, None] * radial[..., None, :]
                         + (Fp * ta)[..., None, None] * (ddr_A - ddr_B))
@@ -287,8 +292,8 @@ def build_glued(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
     zero, as for the unperturbed flat patch. The AC side contributes B =
     ac.correction_B with dB = (AC chart)^*(Omega_Y) - Omega_V. Each side's
     correction_terms gives the coefficients of its exact differential and
-    of its seam partner dr ^ A (or dr ^ B), and their x-partials, sharing
-    one |x| and one radial product.
+    of its seam partner dr ^ A (or dr ^ B), and the x-partials of their
+    real parts, sharing one |x| and one radial product.
 
     Refused: an AC rate not below -3 (RateOutOfRange: the glued volume
     form defect would not decay), an AC space modelled on a different
@@ -492,7 +497,7 @@ def _neck_fields(glued: GluedStructure, x, nbatch=None) -> dict:
         "im_Omega": np.imag(Om) - out["theta2_prime"],
         "grad_omega": np.sqrt(2.0) * tangent["omega_prime"],
         "grad_metric": tangent["g"],
-        "grad_re_Omega": np.sqrt(6.0) * np.real(dOm),
+        "grad_re_Omega": np.sqrt(6.0) * dOm,
     }
     return {name: v.reshape(lead + v.shape[1:]) for name, v in fields.items()}
 

@@ -15,8 +15,11 @@ metric simultaneously.
 The recovery is a polynomial in theta1 followed by one square root, one
 quotient and one cube root (N. Hitchin, The geometry of three-forms in six
 dimensions, J. Diff. Geom. 55, 2000), so its derivative along a variation
-of Omega is exact in forward mode: _recover_tangent carries it through the
-tables of the value pass.
+of Omega is exact in forward mode. _recover_tangent composes the
+polynomial maps into constant tables built once at import (_K_POLAR, the
+polarization of the quadratic form K(theta1), and _T2_THETA and _T2_J,
+the bilinear map (J, theta1) -> theta2_prime), so each derivative is one
+product per sample; the value pass keeps its iota and wedge tables.
 """
 
 from __future__ import annotations
@@ -85,12 +88,9 @@ class Prop32Record:
 _W22 = mi.wedge_tensor(6, 2, 2)
 _W24 = mi.wedge_tensor(6, 2, 4)[..., 0]
 _W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
-# signed table taking a 2-form's 15 coefficients to its flat (6, 6) tensor
+# signed table taking a 2-form's 15 coefficients to its flat (6, 6) tensor;
+# its transpose takes a flat (6, 6) array X to the coefficients of X - X^T
 _TWO_FORM = mi.coeffs_to_tensor(np.eye(15), 6, 2).reshape(15, 36)
-# flat positions of (i, j) and (j, i) in a (6, 6) array, i < j in storage
-# order of 2-forms
-_UPPER = mi._coeff_positions(6, 2)
-_LOWER = np.array([6 * j + i for i, j in mi.index_sets(6, 2)])
 
 
 def _check_theta(theta: KForm):
@@ -149,11 +149,8 @@ def _companion_positions() -> np.ndarray:
 
 def _theta2(J: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """-theta(J., ., .), antisymmetrized, from the table t1 of theta."""
-    return _alternated(np.swapaxes(J, -1, -2) @ t1)
-
-
-def _alternated(P: np.ndarray) -> np.ndarray:
-    """-(the alternation of P), P[..., d, bc] = theta(J e_d, e_b, e_c)."""
+    # P[..., d, bc] = theta(J e_d, e_b, e_c)
+    P = np.swapaxes(J, -1, -2) @ t1
     lead = P.shape[:-2]
     # P is antisymmetric in b, c, so the alternation is the cyclic mean
     # (P[a, bc] + P[c, ab] - P[b, ac]) / 3; indexing, unlike np.take, lays
@@ -164,15 +161,42 @@ def _alternated(P: np.ndarray) -> np.ndarray:
     return -((cyc[..., 0, :] + cyc[..., 1, :]) - cyc[..., 2, :]) / 3.0
 
 
-def _acs_batch(coeffs: np.ndarray) -> dict:
-    """The almost complex structure of theta and the tables it is built
-    from, without raising; J and theta2_prime are garbage where unstable.
+def _tangent_tables() -> tuple:
+    """The polynomial maps of the value pass as constant tables, each
+    assembled by one batched call of its kernel on basis elements:
 
-    iota is the table of iota_{e_a} theta, which builds both K and
-    theta2_prime; J = flip K / sqrt(-lam), with flip = +-1 chosen so that
+        _K_POLAR (20, 20 * 36): the polarization Q + Q^T of the quadratic
+            form K(theta) = sum_ab theta_a theta_b Q[a, b], so that
+            K(theta) = theta . (theta @ _K_POLAR) / 2;
+        _T2_THETA (20, 36 * 20) and _T2_J (36, 20 * 20): the bilinear map
+            (J, eta) -> _theta2(J, _iota_table(eta)) contracted first with
+            eta and first with the flat J.
+    """
+    E20 = np.eye(20)
+    iota = _iota_table(E20)
+    Q = _k_endomorphism(E20, np.broadcast_to(iota, (20, 20, 6, 15)))
+    L = _theta2(np.eye(36).reshape(36, 1, 6, 6), iota[None])
+    tables = ((Q + Q.transpose(1, 0, 2, 3)).reshape(20, 720),
+              np.ascontiguousarray(L.transpose(1, 0, 2)).reshape(20, 720),
+              L.reshape(36, 400))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_K_POLAR, _T2_THETA, _T2_J = _tangent_tables()
+
+
+def _acs_batch(coeffs: np.ndarray) -> dict:
+    """The almost complex structure of theta, its companion and the
+    scalars that fix them, without raising; J and theta2_prime are
+    garbage where unstable.
+
+    The table of iota_{e_a} theta builds both K and theta2_prime;
+    J = flip K / sqrt(-lam), with flip = +-1 chosen so that
     pairing, the coefficient of theta ^ theta2_prime on the volume form,
     is nonnegative. Returned as a dict of J, lam, stable, theta2_prime,
-    pairing, iota and flip.
+    pairing and flip.
     """
     t1 = _iota_table(coeffs)
     K = _k_endomorphism(coeffs, t1)
@@ -188,7 +212,7 @@ def _acs_batch(coeffs: np.ndarray) -> dict:
     # theta2_prime and the pairing are linear in J, so flipping is exact
     return {"J": J * flip[..., None, None], "lam": lam, "stable": stable,
             "theta2_prime": t2 * flip[..., None], "pairing": top * flip,
-            "iota": t1, "flip": flip}
+            "flip": flip}
 
 
 def acs_from_theta1(theta1: KForm) -> LinearMap:
@@ -241,7 +265,7 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     the flat Kaehler form is on the neck; it broadcasts against J.
     theta2_prime is read off the table of iota_{e_a} theta1 that builds J.
 
-    Returns a dict of arrays: the recovered fields, and the tables of
+    Returns a dict of arrays: the recovered fields, and the values of
     _acs_batch that _recover_tangent reads. ``stable`` and ``positive``
     are masks rather than raised errors so grid evaluations can report
     the offending sample (_raise_failures turns them into errors).
@@ -283,25 +307,23 @@ def _recover_tangent(omega_c: np.ndarray, Omega_c: np.ndarray,
 
     Omega_c is one batch axis of samples, (n, 20). dOmega_c carries the
     directions on one axis after it, (n, m, 20), and so do the results,
-    (n, m, 15) and (n, m, 6, 6). rec is _recover_batch(omega_c, Omega_c),
-    whose tables the tangent reads. Forward mode through the value pass:
-    K is quadratic in theta, theta2_prime bilinear in J and the iota
-    table, omega_11 quadratic in J and omega_11^3 cubic in omega_11;
-    J = flip K / sqrt(-lam), f = omega_11^3 / (3/2 pairing) and
-    omega_prime = omega_11 f^(-1/3) follow by the chain rule. The
-    orientation flip and the masks are locally constant. Garbage where
-    rec is not stable and positive.
+    (n, m, 15) and (n, m, 6, 6); only the real parts of Omega_c and
+    dOmega_c enter. rec is _recover_batch(omega_c, Omega_c), whose
+    values the tangent reads. Forward mode through the value pass, with
+    the polynomial maps composed into constant tables: K is quadratic in
+    theta, K = theta . (theta @ _K_POLAR) / 2, so dK = dtheta .
+    (theta @ _K_POLAR), one product with a per-sample (20, 36) matrix;
+    theta2_prime is bilinear in J and theta, so its derivative is one
+    product with theta @ _T2_THETA and one with J @ _T2_J; omega_11 is
+    quadratic in J and omega_11^3 cubic in omega_11. J = flip K /
+    sqrt(-lam), f = omega_11^3 / (3/2 pairing) and omega_prime =
+    omega_11 f^(-1/3) follow by the chain rule. The orientation flip and
+    the masks are locally constant. Garbage where rec is not stable and
+    positive.
     """
     theta, dtheta = np.real(Omega_c), np.real(dOmega_c)
     n, m = dtheta.shape[:2]
-    dt1 = _iota_table(dtheta)
-    # theta ^ d theta = p vol, and iota_a (theta ^ dtheta) = iota_a theta
-    # ^ dtheta - iota_a dtheta ^ theta, whose K is p times the identity, so
-    # dK = 2 K(iota dtheta ^ theta) + p Id
-    wedge_row = theta @ _W33
-    p = np.einsum("nj,nmj->nm", wedge_row, dtheta)
-    dK = 2.0 * _k_endomorphism(theta, dt1)
-    dK[..., range(6), range(6)] += p[..., None]
+    dK = (dtheta @ (theta @ _K_POLAR).reshape(n, 20, 36)).reshape(n, m, 6, 6)
     # J = flip K / sqrt(-lam) and d lam = tr(K dK) / 3 give
     # dJ = flip (dK + J tr(J dK) / 6) / sqrt(-lam)
     J = rec["J"]
@@ -309,16 +331,17 @@ def _recover_tangent(omega_c: np.ndarray, Omega_c: np.ndarray,
     tr = np.einsum("nij,nmji->nm", J, dK)
     dJ = (dK + J[:, None] * (tr / 6.0)[..., None, None]) * (
         rec["flip"] / denom)[:, None, None, None]
-    dJt = np.swapaxes(dJ, -1, -2).reshape(n, 6 * m, 6)
 
-    dt2p = _alternated((dJt @ rec["iota"]).reshape(n, m, 6, 15)
-                       + np.swapaxes(J, -1, -2)[:, None] @ dt1)
+    dt2p = (dJ.reshape(n, m, 36) @ (theta @ _T2_THETA).reshape(n, 36, 20)
+            + dtheta @ (J.reshape(n, 36) @ _T2_J).reshape(n, 20, 20))
     dpairing = (np.einsum("nmj,nj->nm", dtheta @ _W33, rec["theta2_prime"])
-                + np.einsum("nj,nmj->nm", wedge_row, dt2p))
+                + np.einsum("nj,nmj->nm", theta @ _W33, dt2p))
 
-    # d(J^T W J) = X - X^T with X = dJ^T W J
+    # d(J^T W J) = X - X^T with X = dJ^T W J: one product with the signed
+    # (36, 15) table _TWO_FORM.T
+    dJt = np.swapaxes(dJ, -1, -2).reshape(n, 6 * m, 6)
     X = (dJt @ (mi.coeffs_to_tensor(omega_c, 6, 2) @ J)).reshape(n, m, 36)
-    dom11 = 0.5 * (X[..., _UPPER] - X[..., _LOWER])
+    dom11 = 0.5 * (X @ _TWO_FORM.T)
     om11 = rec["omega_11"]
     dnum = 3.0 * np.einsum("nmk,nk->nm", dom11 @ _W24, _wedge_square(om11))
     f = rec["f"]

@@ -239,9 +239,10 @@ class TestGluedStructure:
                  - glued.Omega_t(x - scale * s * e).coeffs) / (2 * scale * s)
                 for e in np.eye(6)], axis=1)
 
-        want = (4.0 * central(0.5) - central(1.0)) / 3.0
+        want = np.real(4.0 * central(0.5) - central(1.0)) / 3.0
         got = glued.Omega_t_jet(x)[1]
         assert len(x) >= 8
+        assert got.dtype == np.float64
         assert got.shape == (len(x), 6, 20)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
@@ -296,13 +297,12 @@ class TestGluedStructure:
         assert calls == {"_theta2": 1}
 
         # on the neck nodes: one xhat ^ iota_xhat Omega_V, one product
-        # with the table of its partials and one xhat ^ b per Omega_t
-        # call, and a recovery that certifies positivity without an
-        # eigensolve
+        # with the real table of its partials and one xhat ^ b per
+        # Omega_t call, and a recovery that certifies positivity without
+        # an eigensolve
         calls.clear()
         neck = gl._sup_grid(glued.config)
         tables = {id(cn._RADIAL_OMEGA3): "radial_Omega",
-                  id(cn._SYM_RADIAL_OMEGA3): "sym_radial_Omega",
                   id(geometry[2]._wedge_b): "xhat_b"}
         table_product = cn._table_product
 
@@ -310,7 +310,18 @@ class TestGluedStructure:
             calls[tables.get(id(table), "other")] += 1
             return table_product(a, table)
 
+        class CountedTable(np.ndarray):
+            # the real table of the partials is applied by a plain
+            # matmul, which reaches this hook
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                name = "sym_radial_Omega"
+                calls[name if ufunc is np.matmul else f"{name}.{ufunc}"] += 1
+                return getattr(ufunc, method)(
+                    *(np.asarray(a) for a in inputs), **kwargs)
+
         monkeypatch.setattr(cn, "_table_product", counted_product)
+        monkeypatch.setattr(cn, "_SYM_RADIAL_OMEGA3",
+                            cn._SYM_RADIAL_OMEGA3.view(CountedTable))
         monkeypatch.setattr(cn, "_radial_wedge",
                             counted("_radial_wedge", cn._radial_wedge))
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -375,6 +386,68 @@ class TestNeckRecovery:
         assert rep.stable and not rep.within_eps0
 
 
+class TestUnperturbedLinkSymmetry:
+    """With the conical perturbation off, Calabi's metric on O(-3) and
+    the flat cone are U(3)-invariant (E. Calabi, Ann. Sci. ENS 12, 1979),
+    and so is every pointwise neck norm of the glued structure: it is a
+    function of r alone, constant over the link, and the link integral
+    is a radial integral times the link volume. No reference data: this
+    checks the jet, the recovery, its tangent and the block loop at
+    once."""
+
+    @staticmethod
+    def unperturbed(geometry, t):
+        cone, ac, _ = geometry
+        return gl.build_glued(gl.GluingConfig(t=t, conical_amplitude=0.0),
+                              cone, ac)
+
+    @pytest.mark.parametrize("t", [0.4, 0.16, 0.1])
+    def test_each_norm_is_constant_over_the_link(self, geometry, t):
+        glued = self.unperturbed(geometry, t)
+        pts, _ = cn.link_quadrature(glued.cone, *glued.config.link_level)
+        lo = glued.config.neck_bounds[0]
+        bad = {}
+        for c in (1.2, 1.5, 1.8):
+            fields = gl._neck_fields(glued, c * lo * pts)
+            assert len(fields) == 6
+            for name, v in fields.items():
+                norms = np.linalg.norm(v.reshape(len(pts), -1), axis=-1)
+                # im_Omega vanishes: rounding, bounded absolutely
+                if name == "im_Omega" and np.max(norms) >= 1e-13:
+                    bad[name, c] = np.max(norms)
+                if name != "im_Omega" and \
+                        np.ptp(norms) > 1e-10 * np.max(norms):
+                    bad[name, c] = np.ptp(norms) / np.max(norms)
+        assert not bad
+
+    @pytest.mark.parametrize("t", [0.25, 0.1])
+    def test_region_norms_are_one_ray_times_the_link_weights(self, geometry,
+                                                             t):
+        # the doubled pass's Gauss nodes on one ray through a link node,
+        # each weighted by the sum of the link weights
+        glued = self.unperturbed(geometry, t)
+        n_radial, level = 3, (3, 3, 3)
+        a, b = glued.config.neck_bounds
+        norms = an.region_norms(lambda x: gl._neck_fields(glued, x),
+                                glued.cone, (a, b), n_radial, level)
+        pts, wts = cn.link_quadrature(glued.cone, *level)
+        s, ws = np.polynomial.legendre.leggauss(2 * n_radial)
+        r = 0.5 * (b - a) * s + 0.5 * (a + b)
+        w = 0.5 * (b - a) * ws * r ** 5 * np.sum(wts)
+        ray = gl._neck_fields(glued, r[:, None] * pts[0])
+        assert ray.keys() == norms.keys()
+        for name, v in ray.items():
+            if name == "im_Omega":
+                assert norms[name].c0 < 1e-13
+                continue
+            phi = np.linalg.norm(v.reshape(len(r), -1), axis=-1)
+            assert norms[name].l2 == pytest.approx(
+                np.sum(w * phi ** 2) ** 0.5, rel=1e-12, abs=0.0), name
+            assert norms[name].l12 == pytest.approx(
+                np.sum(w * phi ** 12) ** (1.0 / 12.0), rel=1e-12,
+                abs=0.0), name
+
+
 class TestDefectScan:
     def test_needs_enough_scan_points(self):
         cfg = gl.GluingConfig(t=0.1, **SMALL)
@@ -430,12 +503,19 @@ class TestDefectScan:
 
     def test_row_evaluates_each_neck_sample_once(self, geometry,
                                                   monkeypatch):
-        seen = {"Omega_t_jet": [], "recover": [], "christoffel": 0}
+        seen = {"Omega_t_jet": [], "recover": [], "christoffel": 0,
+                "jets": [], "tangent": []}
         jet, recover = gl.GluedStructure.Omega_t_jet, gl.su3._recover_batch
+        tangent = gl.su3._recover_tangent
 
         def counted_jet(self, x):
             seen["Omega_t_jet"].append(np.asarray(x, float).reshape(-1, 6))
-            return jet(self, x)
+            seen["jets"].append(jet(self, x))
+            return seen["jets"][-1]
+
+        def counted_tangent(omega_c, Omega_c, dOmega_c, rec):
+            seen["tangent"].append((Omega_c, dOmega_c))
+            return tangent(omega_c, Omega_c, dOmega_c, rec)
 
         def counted_recover(omega_c, Omega_c):
             seen["recover"].append(np.concatenate(
@@ -451,15 +531,21 @@ class TestDefectScan:
         christoffel = an.christoffel
         monkeypatch.setattr(gl.GluedStructure, "Omega_t_jet", counted_jet)
         monkeypatch.setattr(gl.su3, "_recover_batch", counted_recover)
+        monkeypatch.setattr(gl.su3, "_recover_tangent", counted_tangent)
         monkeypatch.setattr(an, "christoffel", counted_christoffel)
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
         for name in ("Omega_t_jet", "recover"):
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
         # each node's values and partials come from one jet, and each
-        # jet's values go to one recovery
+        # jet's values go to one recovery and, with its partials, to one
+        # recovery tangent
         assert sum(map(len, seen["recover"])) \
             == sum(map(len, seen["Omega_t_jet"]))
+        assert len(seen["tangent"]) == len(seen["jets"])
+        for (Om, dOm), want in zip(seen["tangent"], seen["jets"]):
+            assert np.array_equal(Om, want[0])
+            assert np.array_equal(dOm, want[1])
         assert seen["christoffel"] == 0
 
     def test_row_expands_no_three_form_tensor(self, geometry, monkeypatch):

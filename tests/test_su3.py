@@ -354,6 +354,58 @@ class TestRecoveryKernels:
                 <= 1e-8 * np.max(np.abs(want)), key
 
 
+class TestTangentTables:
+    """The constant tables that _recover_tangent composes, against the
+    iota and wedge kernels of the value pass they are built from, on
+    seeded random stable theta."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(37)
+        self.theta = RE0.coeffs + 0.1 * rng.standard_normal((32, 20))
+        self.dtheta = rng.standard_normal((32, 6, 20))
+        self.acs = su3._acs_batch(self.theta)
+        assert np.all(self.acs["stable"])
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_k_is_half_its_polarization(self):
+        M = (self.theta @ su3._K_POLAR).reshape(32, 20, 36)
+        self.assert_close(
+            0.5 * (self.theta[:, None] @ M).reshape(32, 6, 6),
+            su3._k_endomorphism(self.theta, su3._iota_table(self.theta)))
+
+    def test_companion_from_either_contraction(self):
+        J = self.acs["J"].reshape(32, 1, 36)
+        want = su3._theta2(self.acs["J"], su3._iota_table(self.theta))
+        by_J = (J @ su3._T2_J).reshape(32, 20, 20)
+        by_theta = (self.theta @ su3._T2_THETA).reshape(32, 36, 20)
+        self.assert_close((self.theta[:, None] @ by_J)[:, 0], want)
+        self.assert_close((J @ by_theta)[:, 0], want)
+
+    def test_composed_derivatives_match_the_kernel_formulas(self):
+        # before the tables: dK = 2 K(iota dtheta ^ theta) + p Id for
+        # theta ^ dtheta = p vol, and dtheta2' = theta2'(dJ, theta) +
+        # theta2'(J, dtheta), each through the iota and wedge tables
+        theta, dtheta, J = self.theta, self.dtheta, self.acs["J"]
+        dJ = np.random.default_rng(38).standard_normal((32, 6, 6, 6))
+        p = np.einsum("nj,nmj->nm", theta @ su3._W33, dtheta)
+        want_dK = 2.0 * su3._k_endomorphism(theta, su3._iota_table(dtheta))
+        want_dK[..., range(6), range(6)] += p[..., None]
+        got_dK = dtheta @ (theta @ su3._K_POLAR).reshape(32, 20, 36)
+        self.assert_close(got_dK.reshape(32, 6, 6, 6), want_dK)
+
+        want_dt2 = (su3._theta2(dJ, su3._iota_table(theta)[:, None])
+                    + su3._theta2(J[:, None], su3._iota_table(dtheta)))
+        got_dt2 = (dJ.reshape(32, 6, 36)
+                   @ (theta @ su3._T2_THETA).reshape(32, 36, 20)
+                   + dtheta @ (J.reshape(32, 36) @ su3._T2_J).reshape(
+                       32, 20, 20))
+        self.assert_close(got_dt2, want_dt2)
+
+
 class TestPositivityCertificate:
     """The Gershgorin certificate against the eigenvalue rule it skips."""
 
