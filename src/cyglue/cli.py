@@ -21,7 +21,9 @@ not finite fails. glue-scan's extras carry each row's wall time
 (row_wall_s), which never enters scan.csv; a scan whose neck recovery
 raises NotStable or NotPositive writes no scan.csv, and its report holds
 a failed neck_recovery check and extras["error"] with the exception's
-type, message and sample_index. Exit status is 0 when every check
+type, message and sample_index. A moser run whose flow raises Degenerate
+or DomainEscape reports a failed moser_flow check and extras["error"]
+in the same way. Exit status is 0 when every check
 passes, 1 when some check fails, 2 for an invalid configuration.
 """
 
@@ -42,7 +44,8 @@ import numpy as np
 from . import __version__, cones as cn, g2, gluing as gl, su3
 from . import analysis as an
 from . import moser as mo
-from .errors import ConfigInvalid, NotPositive, NotStable
+from .errors import (ConfigInvalid, Degenerate, DomainEscape,
+                     NotPositive, NotStable)
 from .forms import KForm, hodge_star, pullback, wedge
 
 SCHEMA_VERSION = 1
@@ -130,6 +133,12 @@ def _check(checks: list, name: str, measured, predicted, tolerance):
     ok = finite and abs(m - float(predicted)) <= tolerance
     checks.append(CheckRecord(name, m if finite else None, float(predicted),
                               float(tolerance), ok))
+
+
+def _error_record(err) -> dict:
+    """The report entry of a sample error that ended a suite."""
+    return {"type": type(err).__name__, "message": str(err),
+            "sample_index": err.sample_index}
 
 
 def _cone_from(config: RunConfig, default: str) -> cn.ConeGeometry:
@@ -251,10 +260,16 @@ def _run_moser(config: RunConfig, report: RunReport):
     nu = 3.0 if config.nu is None else config.nu
     eta, _ = _synthetic_closed_two_form(nu, config.seed)
     results = {}
-    for steps in (8, 16, config.steps):
-        results[steps] = mo.moser_integrate(
-            cone, eta, nu, (0.1, 0.6), steps=steps, n_dirs=6, n_radii=4,
-            seed=config.seed, fd_h=1e-4)
+    try:
+        for steps in (8, 16, config.steps):
+            results[steps] = mo.moser_integrate(
+                cone, eta, nu, (0.1, 0.6), steps=steps, n_dirs=6,
+                n_radii=4, seed=config.seed, fd_h=1e-4)
+    except (Degenerate, DomainEscape) as err:
+        # no chart to measure: the report records the failed flow instead
+        _check(report.checks, "moser_flow", 0.0, 1.0, 0.0)
+        report.extras["error"] = _error_record(err)
+        return
     final = results[config.steps]
     _check(report.checks, "pullback_residual",
            final.pullback_residual, 0.0, 1e-6)
@@ -323,9 +338,7 @@ def _run_glue_scan(config: RunConfig, report: RunReport):
     except (NotStable, NotPositive) as err:
         # no row to fit: the report records the failed recovery instead
         _check(report.checks, "neck_recovery", 0.0, 1.0, 0.0)
-        report.extras["error"] = {"type": type(err).__name__,
-                                  "message": str(err),
-                                  "sample_index": err.sample_index}
+        report.extras["error"] = _error_record(err)
         return
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)

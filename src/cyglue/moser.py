@@ -2,10 +2,10 @@
 
 Closed perturbations of the cone Kaehler form are trivialized in three
 steps: a radial homotopy produces a primitive with controlled decay, a
-pointwise linear solve produces the time-dependent vector field, and a
-fixed-step fourth-order flow produces the chart. The pullback residual of
-the integrated chart is the module's own quality measure, so every run
-reports it.
+pointwise Pfaffian solve in closed form produces the time-dependent
+vector field, and a fixed-step fourth-order flow produces the chart. The
+pullback residual of the integrated chart is the module's own quality
+measure, so every run reports it.
 
 Form fields are plain callables mapping sample points (..., 6) to KForm
 batches over the same leading axes.
@@ -19,11 +19,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad_vec
 
+from . import _multiindex as mi
 from .analysis import fd_exterior_derivative, shell_grid, unit_directions
 from .errors import (ConfigInvalid, Degenerate, DomainEscape, NotClosed,
                      RateOutOfRange)
-from .forms import (KForm, LinearMap, contract, form_norm,
-                    gershgorin_certified, pullback, wedge)
+from .forms import (_CERT_MARGIN, KForm, LinearMap, contract, form_norm,
+                    pullback, wedge)
 
 __all__ = [
     "SplitForm", "RadialPrimitive", "MoserResult",
@@ -213,40 +214,100 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     return prim
 
 
+def _wedge_terms(k: int, l: int, distinct: bool = False) -> tuple:
+    """Gather tables (left, right, sign), each of shape (C(6, k + l), m),
+    with (a ^ b)_K = sum_m sign[K, m] a[left[K, m]] b[right[K, m]] for a
+    k-form a and an l-form b on R^6.
+
+    With distinct, k = l = 2 and only the terms left < right are kept:
+    the wedge of 2-forms is symmetric, so these list each product of
+    a ^ a / 2 once.
+    """
+    S = mi.wedge_tensor(6, k, l)
+    left, right, out = np.nonzero(S)
+    sign = S[left, right, out]
+    if distinct:
+        keep = left < right
+        left, right, out, sign = (a[keep] for a in (left, right, out, sign))
+    # every output coefficient collects the same number of terms
+    order = np.argsort(out, kind="stable")
+    shape = (S.shape[2], -1)
+    return tuple(a[order].reshape(shape) for a in (left, right, sign))
+
+
+# q = omega ^ omega / 2: each 4-form coefficient is a 4 x 4 sub-Pfaffian,
+# a signed sum over the 3 ways to split its index set into two pairs
+_Q_LEFT, _Q_RIGHT, _Q_SIGN = _wedge_terms(2, 2, distinct=True)
+# Pf = (omega ^ q) / 3 on the volume form: each pair meets its complement
+_PF_LEFT, _PF_RIGHT, _PF_SIGN = (a[0] for a in _wedge_terms(2, 4))
+_PF_SIGN = _PF_SIGN / 3.0
+# X_i Pf = (-1)^i (-sigma ^ q)_{5-i}: the 5-form omitting index i sits at
+# storage position 5 - i, so row i is row 5 - i of the sigma ^ q table
+_X_LEFT, _X_RIGHT, _X_SIGN = (a[::-1] for a in _wedge_terms(1, 4))
+_X_SIGN = _X_SIGN * -np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
+
+
+def _pfaffian_invariants(w: np.ndarray) -> tuple:
+    """q = omega ^ omega / 2 and Pf = (omega ^ q) / 3 of the 2-form
+    coefficients w (..., 15), and the mask of the samples whose invariants
+    certify them nondegenerate (see moser_vector_field)."""
+    q = np.einsum("...km,km->...k", w[..., _Q_LEFT] * w[..., _Q_RIGHT],
+                  _Q_SIGN)
+    pf = np.einsum("...m,m->...", w[..., _PF_LEFT] * q[..., _PF_RIGHT],
+                   _PF_SIGN)
+    certified = pf * pf > (_CERT_MARGIN * np.einsum("...k,...k->...", w, w)
+                           * np.einsum("...k,...k->...", q, q))
+    return q, pf, certified
+
+
 def moser_vector_field(sigma: KForm, omega_t: KForm) -> np.ndarray:
     """Solve sigma + iota(X) omega_t = 0 pointwise for X.
 
-    Both forms are batches at common sample points; with the first-slot
-    interior product the equation reads W^T X = -sigma for the component
-    matrix W of omega_t. A sample whose W has its smallest singular value
-    under 1e-6 of the largest is degenerate. The singular values are
-    compared through the eigenvalues of A = W^T W, their squares, without
-    a square root, so a rank-deficient W whose smallest eigenvalue rounds
-    below zero is degenerate too. A is positive semi-definite, so its
-    largest eigenvalue is max|w| and the Gershgorin row bounds of A
-    certify most samples without an eigensolve
-    (forms.gershgorin_certified); only the others go to eigvalsh.
+    Both forms are batches at common sample points. The solve is closed
+    form: with q = omega_t ^ omega_t / 2 and Pf = (omega_t ^ q) / 3, the
+    coefficient of omega_t^3 / 6 on the volume form, the identity
+    iota_X(omega_t^3 / 6) = iota_X omega_t ^ q = -sigma ^ q gives
+    X_i = (-1)^i (-sigma ^ q)_{5-i} / Pf.
 
-    A degenerate sample raises Degenerate, whose sample_index is the first
-    such sample. moser_integrate does not catch it: the flow ends there,
-    since it retries on a shrunk domain only after a radius escape.
+    With the first-slot interior product the equation reads W^T X = -sigma
+    for the component matrix W of omega_t. A sample whose W has its
+    smallest singular value under 1e-6 of the largest is degenerate. The
+    eigenvalues of A = W^T W are the squares l_1, l_2, l_3 of the singular
+    values, each twice, and their elementary symmetric functions are
+    |omega_t|^2, |q|^2 and Pf^2. So l_min >= Pf^2 / |q|^2 and
+    l_max <= |omega_t|^2, and Pf^2 > forms._CERT_MARGIN |omega_t|^2 |q|^2
+    certifies a sample without an eigensolve. A certified sample has all
+    singular values above about 1e-3 of the largest, so rounding in Pf,
+    of order eps |omega_t|^3, and eigvalsh's backward error, of order
+    eps l_max, cannot bring it near the rule below.
+
+    The others go to eigvalsh, and the singular values are compared
+    through the eigenvalues of A, without a square root, so a rank-deficient
+    W whose smallest eigenvalue rounds below zero is degenerate too, as is
+    a zero omega_t. A degenerate sample raises Degenerate, whose
+    sample_index is the first such sample. moser_integrate does not catch
+    it: the flow ends there, since it retries on a shrunk domain only after
+    a radius escape.
     """
-    W = omega_t.as_tensor()
-    A = np.swapaxes(W, -1, -2) @ W
-    flat = A.reshape((-1, 6, 6))
-    todo = np.flatnonzero(~gershgorin_certified(flat))
+    w = omega_t.coeffs
+    q, pf, certified = _pfaffian_invariants(w)
+    todo = np.flatnonzero(~certified)
     if len(todo):
-        ev = np.linalg.eigvalsh(flat[todo])
-        bad = ev[:, 0] < _DEGENERACY_RATIO ** 2 * ev[:, -1]
+        W = mi.coeffs_to_tensor(w.reshape(-1, 15)[todo], 6, 2)
+        ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)
+        top = ev[:, -1]
+        bad = (ev[:, 0] < _DEGENERACY_RATIO ** 2 * top) | (top == 0.0)
         if np.any(bad):
-            ratio = np.sqrt(np.clip(ev[:, 0], 0.0, None) / ev[:, -1])
+            ratio = np.sqrt(np.clip(ev[:, 0], 0.0, None)
+                            / np.where(top > 0.0, top, 1.0))
             first = np.unravel_index(todo[np.argmax(bad)],
-                                     A.shape[:-2] or (1,))
+                                     w.shape[:-1] or (1,))
             raise Degenerate(
                 f"omega_t singular value ratio {float(np.min(ratio)):.2e}",
                 sample_index=[int(i) for i in first])
-    X = np.linalg.solve(np.swapaxes(W, -1, -2), -sigma.coeffs[..., None])
-    return X[..., 0]
+    s = sigma.coeffs
+    return (np.einsum("...km,km->...k", s[..., _X_LEFT] * q[..., _X_RIGHT],
+                      _X_SIGN) / pf[..., None])
 
 
 def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,

@@ -8,7 +8,7 @@ import pytest
 
 from cyglue import cli
 from cyglue import gluing as gl
-from cyglue.errors import ConfigInvalid
+from cyglue.errors import ConfigInvalid, Degenerate, DomainEscape
 
 SMALL_SCAN = {
     "command": "glue-scan",
@@ -144,6 +144,27 @@ class TestFastSuites:
         res = report["fitted"]["residuals"]
         assert res["64"] < 1e-6
         assert res["8"] > res["16"] > res["64"]
+
+    @pytest.mark.parametrize("error", [Degenerate, DomainEscape])
+    def test_failed_moser_flow_still_writes_its_report(
+            self, error, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise error("flow failed at sample 3", sample_index=[3])
+        monkeypatch.setattr(cli.mo, "moser_integrate", failing)
+        assert cli.main(["moser", "--out", str(tmp_path)]) == 1
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=refuse)
+        assert not report["overall_pass"]
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+            ("moser_flow", False)]
+        assert report["extras"]["error"] == {
+            "type": error.__name__, "message": "flow failed at sample 3",
+            "sample_index": [3]}
+        assert "overall: FAIL" in capsys.readouterr().out
 
     def test_ale_verify_passes(self, tmp_path):
         assert cli.main(["ale-verify", "--out", str(tmp_path)]) == 0

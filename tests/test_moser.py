@@ -267,7 +267,7 @@ def degeneracy_rule(om):
 
 
 class TestDegeneracyCertificate:
-    """The Gershgorin certificate against the eigenvalue rule it skips."""
+    """The invariant certificate against the eigenvalue rule it skips."""
 
     def _batch(self, n_certified, s_min):
         # n_certified near-Kaehler forms, then rotated forms with singular
@@ -292,8 +292,9 @@ class TestDegeneracyCertificate:
         assert np.abs(sigma.coeffs + contract(X, om).coeffs).max() < 1e-12
 
     def test_only_uncertified_rows_reach_eigvalsh(self, count_eigvalsh):
-        # singular value ratios 2e-3 and 1e-5: nondegenerate, uncertified
-        sigma, om = self._batch(12, np.array([4e-3, 2e-5, 4e-3, 2e-5]))
+        # singular value ratios 1e-4 and 2e-5: nondegenerate, but below
+        # the reach of the invariant certificate
+        sigma, om = self._batch(12, np.array([2e-4, 4e-5, 2e-4, 4e-5]))
         W = om.as_tensor()
         A = np.swapaxes(W, -1, -2) @ W
         sent = count_eigvalsh()
@@ -345,6 +346,88 @@ class TestDegeneracyCertificate:
                                   KForm(6, 2, om.coeffs[1]))
         assert err.value.sample_index == [0]
         assert len(sent) == 1 and sent[0].shape == (1, 6, 6)
+
+
+def well_conditioned_forms(n, seed):
+    """n rotated 2-forms with singular values in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.5, 2.0, (n, 3))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 6, 6)))
+    return two_forms_with_singular_values(s, Q)
+
+
+class TestPfaffianSolve:
+    """The closed-form solve and its invariants against linear algebra."""
+
+    def test_invariants_are_symmetric_functions_of_the_spectrum(self):
+        om = well_conditioned_forms(40, seed=7)
+        q, pf, _ = mo._pfaffian_invariants(om.coeffs)
+        assert np.allclose(q, (wedge(om, om) * 0.5).coeffs,
+                           rtol=0.0, atol=1e-13)
+        assert np.allclose(pf, wedge(om, KForm(6, 4, q)).coeffs[:, 0] / 3.0,
+                           rtol=0.0, atol=1e-13)
+        W = om.as_tensor()
+        # each eigenvalue of W^T W appears twice; keep one of each pair
+        ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)[:, ::2]
+        e1 = ev.sum(axis=-1)
+        e2 = ev[:, 0] * ev[:, 1] + ev[:, 0] * ev[:, 2] + ev[:, 1] * ev[:, 2]
+        e3 = ev.prod(axis=-1)
+        for got, want in ((np.sum(om.coeffs ** 2, axis=-1), e1),
+                          (np.sum(q ** 2, axis=-1), e2), (pf ** 2, e3)):
+            assert np.abs(got / want - 1.0).max() < 1e-12
+
+    def test_matches_the_linear_solve(self):
+        om = well_conditioned_forms(40, seed=8)
+        rng = np.random.default_rng(9)
+        sigma = KForm(6, 1, rng.standard_normal((40, 6)))
+        X = mo.moser_vector_field(sigma, om)
+        W = om.as_tensor()
+        want = np.linalg.solve(np.swapaxes(W, -1, -2),
+                               -sigma.coeffs[..., None])[..., 0]
+        assert np.abs(X - want).max() < 1e-12 * np.abs(want).max()
+        assert np.abs(sigma.coeffs + contract(X, om).coeffs).max() < 1e-12
+
+    def test_no_linear_solve(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        # certified samples, then ratios 1e-4 that go to the eigensolve
+        s = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 2e-4]])
+        om = two_forms_with_singular_values(s, np.eye(6))
+        X = mo.moser_vector_field(KForm(6, 1, np.ones((2, 6))), om)
+        assert not calls
+        assert np.abs(1.0 + contract(X, om).coeffs).max() < 1e-9
+
+    def test_certified_samples_pass_the_eigenvalue_rule(self):
+        # singular values (2, u, s): the certificate's bound
+        # Pf^2 / (|omega|^2 |q|^2) crosses _CERT_MARGIN inside the batch
+        rng = np.random.default_rng(21)
+        n = 64
+        s = np.stack([np.full(n, 2.0), rng.uniform(0.5, 2.0, n),
+                      np.logspace(-3.5, -1.5, n)], axis=-1)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, 6, 6)))
+        om = two_forms_with_singular_values(s, Q)
+        q, pf, certified = mo._pfaffian_invariants(om.coeffs)
+        assert np.any(certified) and not np.all(certified)
+        assert not np.any(degeneracy_rule(om)[certified])
+        # the bound is below the squared singular value ratio
+        W = om.as_tensor()
+        ev = np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ W)
+        bound = pf ** 2 / (np.sum(om.coeffs ** 2, axis=-1)
+                           * np.sum(q ** 2, axis=-1))
+        assert np.all(bound <= ev[:, 0] / ev[:, -1] * (1.0 + 1e-9))
+
+    def test_zero_form_is_degenerate(self):
+        om = KForm.zero(6, 2, (3,))
+        om.coeffs[:2] = well_conditioned_forms(2, seed=4).coeffs
+        with pytest.raises(Degenerate) as err:
+            mo.moser_vector_field(KForm(6, 1, np.ones((3, 6))), om)
+        assert err.value.sample_index == [2]
+        assert "ratio 0.00e+00" in str(err.value)
 
 
 class TestMoserIntegrate:
