@@ -19,12 +19,10 @@ from .forms import (
     pullback, wedge,
 )
 from .su3 import (
-    NearlyCYReport, SU3Structure, acs_from_theta1, check_prop32, omega_11,
-    recover_su3, stable_invariant, theta2_prime,
+    NearlyCYReport, SU3Structure, check_prop32, recover_su3,
 )
 from .g2 import (
-    G2Structure, TorsionSample, build_phi_chi, compare_g2, metric_from_phi,
-    torsion_psi,
+    TorsionSample, build_phi_chi, compare_g2, metric_from_phi, torsion_psi,
 )
 from .cones import (
     ACGeometry, ConeGeometry, ConicalSingularityData, FieldSample,
@@ -40,7 +38,7 @@ from .moser import (
 )
 from .gluing import (
     DefectScan, GluedStructure, GluingConfig, Thm52Verdict, build_glued,
-    cutoff_F, defect_scan, nearly_cy_on_neck, thm52_check,
+    defect_scan, nearly_cy_on_neck, thm52_check,
 )
 
 __all__ = [
@@ -50,11 +48,9 @@ __all__ = [
     "Degenerate", "DomainEscape", "ConfigInvalid",
     "KForm", "LinearMap", "MetricTensor", "wedge", "contract", "pullback",
     "hodge_star", "form_norm",
-    "SU3Structure", "NearlyCYReport", "stable_invariant",
-    "acs_from_theta1", "theta2_prime", "omega_11", "recover_su3",
-    "check_prop32",
-    "G2Structure", "TorsionSample", "build_phi_chi", "metric_from_phi",
-    "torsion_psi", "compare_g2",
+    "SU3Structure", "NearlyCYReport", "recover_su3", "check_prop32",
+    "TorsionSample", "build_phi_chi", "metric_from_phi", "torsion_psi",
+    "compare_g2",
     "ConeGeometry", "ACGeometry", "ConicalSingularityData", "FieldSample",
     "flat_c3_cone", "quotient_cone_z3", "calabi_ale_o3",
     "t6_z3_orbifold_patch", "complex_dilation", "lie_derivative_check",
@@ -63,6 +59,5 @@ __all__ = [
     "MoserResult", "split_form", "radial_primitive", "moser_vector_field",
     "moser_integrate",
     "GluingConfig", "GluedStructure", "DefectScan", "Thm52Verdict",
-    "cutoff_F", "build_glued", "nearly_cy_on_neck", "defect_scan",
-    "thm52_check",
+    "build_glued", "nearly_cy_on_neck", "defect_scan", "thm52_check",
 ]

@@ -69,6 +69,8 @@ _CONFIG_TYPES = {
 }
 _LIST_KEYS = ("t_list", "link_level")
 _OPTIONAL_KEYS = ("geometry", "nu", "alpha")
+# the suites that read geometry; every other one has its geometry built in
+_GEOMETRY_COMMANDS = ("cone-verify", "moser")
 # sizes, counts, scan values and the conical rate; every entry of a list
 # must be positive
 _POSITIVE_KEYS = ("t_list", "steps", "n_radial", "link_level", "n_sup_dirs",
@@ -444,6 +446,11 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         raise ConfigInvalid("no command given (argument or config file)")
     if data["command"] not in COMMANDS:
         raise ConfigInvalid(f"unknown command {data['command']!r}")
+    if (data.get("geometry") is not None
+            and data["command"] not in _GEOMETRY_COMMANDS):
+        raise ConfigInvalid(
+            f"geometry is read only by {' and '.join(_GEOMETRY_COMMANDS)}, "
+            f"not by {data['command']}")
     for key, value in data.items():
         if value is None and key in _OPTIONAL_KEYS:
             continue
@@ -518,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="thread workers for scan rows")
     p.add_argument("--seed", type=int, metavar="U64",
                    help="seed recorded in the report")
-    p.add_argument("--geometry", choices=sorted(GEOMETRIES))
+    p.add_argument("--geometry", choices=sorted(GEOMETRIES),
+                   help="cone of cone-verify and moser")
     p.add_argument("--nu", type=float, help="conical data rate")
     p.add_argument("--lam", type=float, help="AC decay rate")
     p.add_argument("--alpha", type=float, help="neck exponent override")

@@ -25,7 +25,7 @@ from .forms import (KForm, LinearMap, MetricTensor, contract, form_norm,
 __all__ = [
     "FieldSample", "ConeGeometry", "ACGeometry", "ConicalSingularityData",
     "SyntheticPerturbation", "flat_c3_cone", "quotient_cone_z3",
-    "radial_and_reeb", "lie_derivative_check", "complex_dilation",
+    "lie_derivative_check", "complex_dilation",
     "link_quadrature", "calabi_ale_o3", "t6_fixed_points",
     "t6_z3_orbifold_patch", "hermitian_to_omega", "hermitian_to_metric",
     "FLAT_OMEGA", "FLAT_OMEGA3", "J_STANDARD",
@@ -262,22 +262,6 @@ def link_quadrature(cone: ConeGeometry, n_rho: int = 12, n_ang: int = 8,
 
 # ---------------------------------------------------------------------------
 # radial structure
-
-def radial_and_reeb(cone: ConeGeometry, gamma: np.ndarray, r) -> tuple:
-    """(X, Z) at the point r*gamma: the Euler field X = r d/dr and Z = J X.
-
-    With the first-slot interior product used throughout the package,
-    iota(X) omega = r^2 alpha (defining the contact form alpha normalized
-    by alpha(Z) = 1) and iota(Z) omega = -r dr; g(X, X) = r^2, g(X, Z) = 0.
-    The flow of Z rotates each complex coordinate, so L_Z Omega = 3i Omega.
-    """
-    gamma = np.asarray(gamma, float)
-    r = np.asarray(r, float)
-    x = r[..., None] * gamma
-    X = x
-    Z = np.einsum("ij,...j->...i", J_STANDARD, x)
-    return X, Z
-
 
 def complex_dilation(cone: ConeGeometry, t: float, theta: float) -> LinearMap:
     """The map (gamma, r) -> (exp(theta Z) gamma, t r) as a linear chart map."""
@@ -651,10 +635,6 @@ class ConicalSingularityData:
     center: np.ndarray
     cone: ConeGeometry
     neighbor_distance: float
-
-    def chart(self, x: np.ndarray) -> np.ndarray:
-        """Cone coordinates -> torus coordinates (valid for small |x|)."""
-        return self.center + np.asarray(x, float)
 
     def synthetic_perturbation(self, nu: float, amplitude: float,
                                seed: int = 0) -> SyntheticPerturbation:

@@ -98,16 +98,9 @@ class KForm:
     def imag(self):
         return KForm(self.dim, self.degree, np.imag(self.coeffs).copy())
 
-    def conj(self):
-        return KForm(self.dim, self.degree, np.conj(self.coeffs))
-
     def as_tensor(self):
         """Full antisymmetric coefficient array, shape (..., dim^degree)."""
         return mi.coeffs_to_tensor(self.coeffs, self.dim, self.degree)
-
-    @staticmethod
-    def from_tensor(dim, degree, T):
-        return KForm(dim, degree, mi.tensor_to_coeffs(np.asarray(T), dim, degree))
 
     # -- arithmetic --------------------------------------------------------
     def _check_mate(self, other):
@@ -129,12 +122,6 @@ class KForm:
         return KForm(self.dim, self.degree, self.coeffs * s)
 
     __rmul__ = __mul__
-
-    def top_coefficient(self):
-        """Single stored coefficient of a top-degree form."""
-        if self.degree != self.dim:
-            raise DimensionMismatch("not a top-degree form")
-        return self.coeffs[..., 0]
 
 
 @dataclass(frozen=True)
@@ -159,11 +146,6 @@ class MetricTensor:
             if np.min(w) <= 0:
                 raise DegenerateMetric("metric is not positive definite")
             object.__setattr__(self, "_checked", True)
-
-    @staticmethod
-    def euclidean(dim, batch=()):
-        g = np.broadcast_to(np.eye(dim), batch + (dim, dim)).copy()
-        return MetricTensor(dim, g, _checked=True)
 
     def inverse(self):
         return np.linalg.inv(self.components)

@@ -18,9 +18,8 @@ from .errors import DimensionMismatch, NotPositive3Form
 from .forms import KForm, MetricTensor, form_norm, hodge_star, metric_distances, wedge
 
 __all__ = [
-    "G2Structure", "TorsionSample",
-    "metric_from_phi", "build_phi_chi", "torsion_psi", "compare_g2",
-    "embed_form", "ds_wedge",
+    "TorsionSample", "metric_from_phi", "build_phi_chi", "torsion_psi",
+    "compare_g2", "embed_form", "ds_wedge",
 ]
 
 
@@ -87,20 +86,6 @@ def metric_from_phi(phi: KForm) -> MetricTensor:
     if not np.all(w[..., 0] > 0):
         raise NotPositive3Form("candidate metric is not positive-definite")
     return MetricTensor(7, g, _checked=True)
-
-
-@dataclass(frozen=True)
-class G2Structure:
-    """A positive 3-form with its metric and dual 4-form."""
-
-    phi: KForm
-    g: MetricTensor
-    star_phi: KForm
-
-    @staticmethod
-    def from_phi(phi: KForm) -> "G2Structure":
-        g = metric_from_phi(phi)
-        return G2Structure(phi, g, hodge_star(g, phi))
 
 
 @dataclass(frozen=True)

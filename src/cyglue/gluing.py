@@ -39,16 +39,16 @@ from . import su3
 from .analysis import (central_differences, region_norms, riemann_ricci,
                        shell_grid, unit_directions)
 from .cones import (FLAT_OMEGA, FLAT_OMEGA3, ACGeometry, ConeGeometry,
-                    SyntheticPerturbation, calabi_ale_o3, hermitian_to_omega,
-                    quotient_cone_z3, t6_z3_orbifold_patch)
+                    SyntheticPerturbation, calabi_ale_o3, quotient_cone_z3,
+                    t6_z3_orbifold_patch)
 from .errors import ConfigInvalid, RateOutOfRange, _SampleError
-from .forms import KForm, MetricTensor, lower_tensor_norm
+from .forms import KForm, lower_tensor_norm
 
 __all__ = [
     "GluingConfig", "GluedStructure", "NeckReport",
     "DefectRow", "DefectScan", "Thm52Verdict",
-    "cutoff_F", "cutoff_F_prime", "cutoff_F_second", "build_glued",
-    "nearly_cy_on_neck", "defect_scan", "thm52_check", "SCAN_COLUMNS",
+    "build_glued", "nearly_cy_on_neck", "defect_scan", "thm52_check",
+    "SCAN_COLUMNS",
 ]
 
 
@@ -137,8 +137,10 @@ def _bump_jet(x):
 
 
 def _cutoff_jet(s):
-    """(F, F', F'') of cutoff_F = p / (p + q), p = b(s - 1), q = b(2 - s),
-    from one evaluation of each bump."""
+    """(F, F', F'') of the cutoff F = p / (p + q), p = b(s - 1),
+    q = b(2 - s), from one evaluation of each bump: a smooth monotone
+    transition, exactly 0 for s <= 1 and exactly 1 for s >= 2, whose
+    derivatives vanish to all orders at 1 and 2."""
     p, pp, ppp = _bump_jet(np.asarray(s, float) - 1.0)
     q, qp, qpp = _bump_jet(2.0 - np.asarray(s, float))
     qp = -qp
@@ -148,22 +150,6 @@ def _cutoff_jet(s):
             (ppp * q - p * qpp) / n ** 2 - 2.0 * num * (pp + qp) / n ** 3)
 
 
-def cutoff_F(s):
-    """Smooth monotone transition: exactly 0 for s <= 1, exactly 1 for s >= 2."""
-    return _cutoff_jet(s)[0]
-
-
-def cutoff_F_prime(s):
-    """Derivative of cutoff_F, exact (vanishing to all orders at 1 and 2)."""
-    return _cutoff_jet(s)[1]
-
-
-def cutoff_F_second(s):
-    """Second derivative of cutoff_F, exact (vanishing to all orders at 1
-    and 2)."""
-    return _cutoff_jet(s)[2]
-
-
 # ---------------------------------------------------------------------------
 # glued structure
 
@@ -171,12 +157,13 @@ def cutoff_F_second(s):
 class GluedStructure:
     """Evaluators of the glued pair over the shared cone chart.
 
-    Valid for t * resolution_scale < r < eps. The Kaehler form is the cone
-    form at and outside the neck (Darboux-matched charts) and the scaled
-    AC form in the resolved-side raw chart; the holomorphic volume form
-    follows the single cutoff formula everywhere, hitting the pure conical
-    branch where F = 1 and the pure AC branch where F = 0. perturbation
-    is None for the unperturbed conical side, whose A vanishes.
+    Valid for t * resolution_scale < r < eps. Only the holomorphic volume
+    form is evaluated: it follows the single cutoff formula everywhere,
+    hitting the pure conical branch where F = 1 and the pure AC branch
+    where F = 0. The Kaehler form on the neck is the cone form FLAT_OMEGA
+    (Darboux-matched charts), and the scan measures every defect against
+    it. perturbation is None for the unperturbed conical side, whose A
+    vanishes.
     """
 
     config: GluingConfig
@@ -261,26 +248,6 @@ class GluedStructure:
         x, _ = self._radii(x)
         return KForm(6, 3, FLAT_OMEGA3.coeffs
                      + self.ac.correction_dB(x / self.config.t).coeffs)
-
-    def omega_t(self, x) -> KForm:
-        x, r = self._radii(x)
-        lo = self.config.neck_bounds[0]
-        flat = self.cone.fields_at(x).omega.coeffs
-        inner = r < lo
-        if not np.any(inner):
-            return KForm(6, 2, flat)
-        ale = hermitian_to_omega(self.ac.hermitian_at(x / self.config.t))
-        return KForm(6, 2, np.where(inner[..., None], ale.coeffs, flat))
-
-    def metric_t(self, x) -> MetricTensor:
-        x, r = self._radii(x)
-        lo = self.config.neck_bounds[0]
-        comp = np.broadcast_to(np.eye(6), x.shape[:-1] + (6, 6)).copy()
-        inner = r < lo
-        if np.any(inner):
-            ale = self.ac.metric_on_target(x / self.config.t).components
-            comp = np.where(inner[..., None, None], ale, comp)
-        return MetricTensor(6, comp, _checked=True)
 
 
 def build_glued(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,

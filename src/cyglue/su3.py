@@ -6,11 +6,14 @@ R^6, the pipeline extracts the almost complex structure determined by theta1
 form, and the induced metric, together with the defect numbers measuring how
 far the pair is from a genuine Calabi-Yau structure at the point.
 
-Sign convention: theta2_prime(J, theta)(u, v, w) = -theta(Ju, v, w), with the
-sign of J itself fixed so that theta1 ^ theta2_prime is positively oriented.
-This is the unique choice under which the flat pair (omega0, Omega0) recovers
-the standard complex structure, theta2_prime = Im(Omega0), and a positive
-metric simultaneously.
+Sign convention: the companion 3-form that _acs_batch and SU3Structure
+return as theta2_prime is theta2_prime(u, v, w) = -theta1(Ju, v, w),
+antisymmetrized, with the sign of J itself fixed so that
+theta1 ^ theta2_prime is positively oriented. This is the unique choice
+under which the flat pair (omega0, Omega0) recovers the standard complex
+structure, theta2_prime = Im(Omega0), and a positive metric
+simultaneously. The J-invariant part omega_11 = (omega + omega(J., J.))/2
+of omega is returned beside them by _recover_batch.
 
 The recovery is a polynomial in theta1 followed by one square root, one
 quotient and one cube root (N. Hitchin, The geometry of three-forms in six
@@ -32,11 +35,10 @@ import numpy as np
 from . import _multiindex as mi
 from .errors import DimensionMismatch, NotPositive, NotStable
 from .forms import (KForm, LinearMap, MetricTensor, form_norm,
-                    gershgorin_certified, metric_distances, pullback, wedge)
+                    gershgorin_certified, metric_distances, wedge)
 
 __all__ = [
     "SU3Structure", "NearlyCYReport", "Prop32Record",
-    "stable_invariant", "acs_from_theta1", "theta2_prime", "omega_11",
     "recover_su3", "check_prop32",
 ]
 
@@ -93,13 +95,6 @@ _W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
 _TWO_FORM = mi.coeffs_to_tensor(np.eye(15), 6, 2).reshape(15, 36)
 
 
-def _check_theta(theta: KForm):
-    if theta.dim != 6 or theta.degree != 3:
-        raise DimensionMismatch("expected a 3-form on R^6")
-    if theta.is_complex:
-        raise DimensionMismatch("expected a real 3-form")
-
-
 def _iota_table(coeffs: np.ndarray) -> np.ndarray:
     """Row a holds the 15 coefficients of iota_{e_a} theta, batched over
     leading axes; each entry is zero or one coefficient of theta, signed."""
@@ -126,14 +121,6 @@ def _k_endomorphism(coeffs: np.ndarray, t1: np.ndarray) -> np.ndarray:
     # the 5-form omitting index i sits at storage position 5 - i, so row i
     # of K is (-1)^i times column 5 - i of mu
     return np.swapaxes(mu[..., ::-1], -1, -2) * _K_SIGN[:, None]
-
-
-def stable_invariant(theta1: KForm) -> np.ndarray:
-    """Quartic invariant lambda(theta1); negative on the stable orbit that
-    carries an almost complex structure."""
-    _check_theta(theta1)
-    K = _k_endomorphism(theta1.coeffs, _iota_table(theta1.coeffs))
-    return np.einsum("...ij,...ji->...", K, K) / 6.0
 
 
 @lru_cache(maxsize=None)
@@ -213,35 +200,6 @@ def _acs_batch(coeffs: np.ndarray) -> dict:
     return {"J": J * flip[..., None, None], "lam": lam, "stable": stable,
             "theta2_prime": t2 * flip[..., None], "pairing": top * flip,
             "flip": flip}
-
-
-def acs_from_theta1(theta1: KForm) -> LinearMap:
-    """Almost complex structure of a stable 3-form, J^2 = -Id.
-
-    Raises NotStable when the quartic invariant fails to be negative.
-    """
-    _check_theta(theta1)
-    acs = _acs_batch(theta1.coeffs)
-    _raise_failures(acs)
-    return LinearMap(acs["J"])
-
-
-def theta2_prime(J: LinearMap, theta1: KForm) -> KForm:
-    """Companion 3-form -theta1(J.,.,.), antisymmetrized.
-
-    For theta1 of type (3,0)+(0,3) with respect to J the antisymmetrization
-    is a no-op and theta1 + i theta2_prime is a (3,0)-form.
-    """
-    _check_theta(theta1)
-    return KForm(6, 3, _theta2(np.asarray(J.matrix, float),
-                               _iota_table(theta1.coeffs)))
-
-
-def omega_11(omega: KForm, J: LinearMap) -> KForm:
-    """J-invariant part (omega(u,v) + omega(Ju,Jv))/2."""
-    if omega.dim != 6 or omega.degree != 2:
-        raise DimensionMismatch("expected a 2-form on R^6")
-    return 0.5 * (omega + pullback(J, omega))
 
 
 def _metric_from(omega_p: np.ndarray, J: np.ndarray) -> np.ndarray:

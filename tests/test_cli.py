@@ -90,6 +90,8 @@ class TestConfigPlumbing:
         ({}, ["--lam", "nan"], "lam"),
         ({}, ["--fit-slack", "-1"], "fit_slack"),
         ({}, ["--amplitude", "inf"], "amplitude"),
+        ({"geometry": "flat_c3"}, [], "geometry"),
+        ({"command": "glue-scan", "geometry": "c3_mod_z3"}, [], "geometry"),
     ])
     def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys):
         cfg = tmp_path / "c.json"

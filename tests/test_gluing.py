@@ -80,36 +80,39 @@ class TestGluingConfig:
 class TestCutoff:
     def test_locked_outside_transition(self):
         s = np.array([0.0, 0.5, 1.0])
-        assert np.array_equal(gl.cutoff_F(s), np.zeros(3))
-        assert np.array_equal(gl.cutoff_F(s + 2.0), np.ones(3))
-        assert np.array_equal(gl.cutoff_F_prime(s), np.zeros(3))
-        assert np.array_equal(gl.cutoff_F_prime(s + 2.0), np.zeros(3))
+        F, Fp, _ = gl._cutoff_jet(s)
+        assert np.array_equal(F, np.zeros(3))
+        assert np.array_equal(Fp, np.zeros(3))
+        F, Fp, _ = gl._cutoff_jet(s + 2.0)
+        assert np.array_equal(F, np.ones(3))
+        assert np.array_equal(Fp, np.zeros(3))
 
     def test_symmetric_midpoint(self):
-        assert gl.cutoff_F(1.5) == pytest.approx(0.5, abs=1e-15)
+        assert gl._cutoff_jet(1.5)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone(self):
         s = np.linspace(0.5, 2.5, 201)
-        F = gl.cutoff_F(s)
+        F, Fp, _ = gl._cutoff_jet(s)
         assert np.all(np.diff(F) >= 0.0)
-        assert np.all(gl.cutoff_F_prime(s) >= 0.0)
+        assert np.all(Fp >= 0.0)
 
     def test_derivative_matches_finite_difference(self):
         s = np.array([1.2, 1.5, 1.8])
         h = 1e-6
-        fd = (gl.cutoff_F(s + h) - gl.cutoff_F(s - h)) / (2 * h)
-        assert np.allclose(gl.cutoff_F_prime(s), fd, rtol=1e-7, atol=1e-12)
+        fd = (gl._cutoff_jet(s + h)[0] - gl._cutoff_jet(s - h)[0]) / (2 * h)
+        assert np.allclose(gl._cutoff_jet(s)[1], fd, rtol=1e-7, atol=1e-12)
 
     def test_second_derivative_matches_richardson_differences(self):
         s = np.linspace(0.9, 2.1, 25)
 
         def central(h):
-            return (gl.cutoff_F_prime(s + h) - gl.cutoff_F_prime(s - h)) / (2 * h)
+            return (gl._cutoff_jet(s + h)[1]
+                    - gl._cutoff_jet(s - h)[1]) / (2 * h)
 
         want = (4.0 * central(5e-5) - central(1e-4)) / 3.0
-        assert np.max(np.abs(gl.cutoff_F_second(s) - want)) \
+        assert np.max(np.abs(gl._cutoff_jet(s)[2] - want)) \
             <= 1e-8 * np.max(np.abs(want))
-        assert np.array_equal(gl.cutoff_F_second(np.array([0.5, 1.0, 2.0])),
+        assert np.array_equal(gl._cutoff_jet(np.array([0.5, 1.0, 2.0]))[2],
                               np.zeros(3))
 
 
@@ -197,7 +200,7 @@ class TestGluedStructure:
         _, ac, pert = geometry
         t, alpha = glued.config.t, glued.config.alpha
         r = np.linalg.norm(mid, axis=-1)
-        F = gl.cutoff_F(r * t ** (-alpha))
+        F = gl._cutoff_jet(r * t ** (-alpha))[0]
         plain = (glued.cone.fields_at(mid).Omega.coeffs
                  + F[..., None] * pert.dA(mid).coeffs
                  + (1 - F)[..., None] * ac.correction_dB(mid / t).coeffs)
@@ -253,7 +256,7 @@ class TestGluedStructure:
         r = np.linalg.norm(x, axis=-1)
         t, alpha = glued.config.t, glued.config.alpha
         s = r * t ** (-alpha)
-        F, Fp = gl.cutoff_F(s), gl.cutoff_F_prime(s)
+        F, Fp, _ = gl._cutoff_jet(s)
         _, ac, pert = geometry
         y = x / t
         seam = (Fp * t ** (-alpha))[:, None] * wedge(
@@ -333,20 +336,6 @@ class TestGluedStructure:
             np.broadcast_to(cn.FLAT_OMEGA.coeffs, (len(Om), 15)), Om)
         assert np.all(out["positive"])
         assert calls["eigvalsh"] == 0
-
-    def test_kaehler_form_equals_cone_form_off_the_resolved_side(self, glued):
-        x = 0.5 * unit_dirs(3)
-        flat = glued.cone.fields_at(x).omega.coeffs
-        assert np.array_equal(glued.omega_t(x).coeffs, flat)
-        assert np.array_equal(glued.metric_t(x).components,
-                              np.broadcast_to(np.eye(6), (3, 6, 6)))
-
-    def test_resolved_side_metric_is_ale(self, glued):
-        x = 0.12 * unit_dirs(3, seed=7)
-        expect = glued.ac.metric_on_target(x / glued.config.t).components
-        assert np.array_equal(glued.metric_t(x).components, expect)
-        w = np.linalg.eigvalsh(glued.metric_t(x).components)
-        assert np.all(w > 0)
 
     def test_unperturbed_family_matches_cone_volume_form_outside(self,
                                                                  geometry):

@@ -5,6 +5,7 @@ import pytest
 
 import cyglue.cones as cn
 import cyglue.moser as mo
+from cyglue import _multiindex as mi
 from cyglue import analysis as an
 from cyglue import cli
 from cyglue.analysis import fd_exterior_derivative
@@ -236,10 +237,10 @@ class TestMoserVectorField:
     def test_degeneracy_boundary(self, offset, raises):
         # dx0^dx1 + dx2^dx3 + s dx4^dx5: singular values (1, 1, s), twice
         s = mo._DEGENERACY_RATIO * (1.0 + offset)
-        om = KForm.from_tensor(6, 2, np.array([
+        om = KForm(6, 2, mi.tensor_to_coeffs(np.array([
             [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0],
             [0, 0, 0, 1, 0, 0], [0, 0, -1, 0, 0, 0],
-            [0, 0, 0, 0, 0, s], [0, 0, 0, 0, -s, 0]], float))
+            [0, 0, 0, 0, 0, s], [0, 0, 0, 0, -s, 0]], float), 6, 2))
         sigma = KForm(6, 1, np.ones(6))
         if raises:
             with pytest.raises(Degenerate):
@@ -256,7 +257,8 @@ def two_forms_with_singular_values(s, Q):
     for i in range(3):
         D[..., 2 * i, 2 * i + 1] = s[..., i]
         D[..., 2 * i + 1, 2 * i] = -s[..., i]
-    return KForm.from_tensor(6, 2, Q @ D @ np.swapaxes(Q, -1, -2))
+    return KForm(6, 2, mi.tensor_to_coeffs(Q @ D @ np.swapaxes(Q, -1, -2),
+                                           6, 2))
 
 
 def degeneracy_rule(om):
@@ -536,6 +538,15 @@ class TestMoserIntegrate:
         want = {"8": 6.0682399247148e-08, "16": 4.0879318455077464e-09,
                 "64": 2.2686489431532704e-10}
         assert report.fitted["residuals"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known fault, ROADMAP item 4: seed 12's flow leaves the annulus, "
+        "so domain_intact fails, and on the halved domain the step-order "
+        "ratio (1.247, want 16 +- 6) measures the central-difference "
+        "Jacobian's noise floor"))
+    def test_suite_passes_every_check_at_seed_12(self):
+        report = cli.run(cli.RunConfig(command="moser", seed=12))
+        assert [c.name for c in report.checks if not c.passed] == []
 
     def test_domain_escape_raises(self):
         eta = eta_weight(5.0, amp=0.3)

@@ -5,10 +5,7 @@ from cyglue import _multiindex as mi
 from cyglue import su3
 from cyglue.errors import NotPositive, NotStable
 from cyglue.forms import KForm, LinearMap, pullback, wedge
-from cyglue.su3 import (
-    acs_from_theta1, check_prop32, omega_11, recover_su3, stable_invariant,
-    theta2_prime,
-)
+from cyglue.su3 import check_prop32, recover_su3
 
 import oracles as oc
 
@@ -36,9 +33,15 @@ def oracle_k_endo(theta: dict) -> np.ndarray:
     return K
 
 
+def acs(theta: KForm) -> dict:
+    """The recovery's almost complex structure of theta: J, lam,
+    theta2_prime and the rest of su3._acs_batch."""
+    return su3._acs_batch(theta.coeffs)
+
+
 class TestQuarticInvariant:
     def test_flat_value_frozen(self):
-        assert stable_invariant(RE0) == pytest.approx(-4.0, abs=0)
+        assert acs(RE0)["lam"] == pytest.approx(-4.0, abs=0)
 
     def test_matches_exact_oracle_on_random_forms(self):
         rng = np.random.default_rng(21)
@@ -46,71 +49,68 @@ class TestQuarticInvariant:
             d = oc.rand_exact_form(rng, 6, 3)
             K = oracle_k_endo(d)
             lam = np.trace(K @ K) / 6.0
-            got = stable_invariant(oc.to_kform(d, 6, 3))
+            got = acs(oc.to_kform(d, 6, 3))["lam"]
             assert got == pytest.approx(lam, rel=1e-12, abs=1e-12)
 
     def test_quartic_scaling(self):
-        lam = stable_invariant(RE0)
+        lam = acs(RE0)["lam"]
         for c in (2.0, 0.3, -1.5):
-            assert stable_invariant(KForm(6, 3, c * RE0.coeffs)) == pytest.approx(c ** 4 * lam, rel=1e-13)
+            assert acs(KForm(6, 3, c * RE0.coeffs))["lam"] \
+                == pytest.approx(c ** 4 * lam, rel=1e-13)
 
     def test_unstable_example_positive(self):
         # dx123 + dy123 in interleaved coordinates
         uns = oc.to_kform({(0, 2, 4): 1, (1, 3, 5): 1}, 6, 3)
-        assert stable_invariant(uns) == pytest.approx(1.0, abs=0)
+        assert acs(uns)["lam"] == pytest.approx(1.0, abs=0)
 
 
 class TestAlmostComplexStructure:
     def test_flat_recovers_standard_J(self):
-        J = acs_from_theta1(RE0)
-        assert np.array_equal(np.asarray(J.matrix), J0)
+        assert np.array_equal(acs(RE0)["J"], J0)
 
     def test_J_squared_is_minus_identity(self):
         rng = np.random.default_rng(22)
         L = LinearMap(np.eye(6) + 0.25 * rng.standard_normal((5, 6, 6)))
-        J = np.asarray(acs_from_theta1(pullback(L, RE0)).matrix)
+        J = acs(pullback(L, RE0))["J"]
         JJ = np.einsum("...ij,...jk->...ik", J, J)
         assert np.allclose(JJ, -np.eye(6), atol=1e-12)
 
     def test_equivariance(self):
         rng = np.random.default_rng(23)
         L = np.eye(6) + 0.2 * rng.standard_normal((4, 6, 6))
-        J = np.asarray(acs_from_theta1(pullback(LinearMap(L), RE0)).matrix)
+        J = acs(pullback(LinearMap(L), RE0))["J"]
         expected = np.einsum("bij,jk,bkl->bil", np.linalg.inv(L), J0, L)
         assert np.allclose(J, expected, atol=1e-12)
 
     def test_scale_invariance_of_J(self):
-        J = np.asarray(acs_from_theta1(KForm(6, 3, 2.5 * RE0.coeffs)).matrix)
+        J = acs(KForm(6, 3, 2.5 * RE0.coeffs))["J"]
         assert np.allclose(J, J0, atol=1e-14)
         # K is quadratic in theta, so negating theta leaves J unchanged
-        Jm = np.asarray(acs_from_theta1(KForm(6, 3, -RE0.coeffs)).matrix)
+        Jm = acs(KForm(6, 3, -RE0.coeffs))["J"]
         assert np.allclose(Jm, J0, atol=1e-14)
 
     def test_unstable_raises(self):
         uns = oc.to_kform({(0, 2, 4): 1, (1, 3, 5): 1}, 6, 3)
         with pytest.raises(NotStable):
-            acs_from_theta1(uns)
+            recover_su3(OM0, uns)
 
     def test_batched_failure_reports_sample(self):
         coeffs = np.stack([RE0.coeffs, oc.to_kform({(0, 2, 4): 1, (1, 3, 5): 1}, 6, 3).coeffs])
         with pytest.raises(NotStable) as ei:
-            acs_from_theta1(KForm(6, 3, coeffs))
+            su3._raise_failures(su3._acs_batch(coeffs))
         assert ei.value.sample_index == [1]
 
 
 class TestCompanionForm:
     def test_flat_companion_is_imaginary_part(self):
-        J = acs_from_theta1(RE0)
-        t2 = theta2_prime(J, RE0)
-        assert np.array_equal(t2.coeffs, IM0.coeffs)
+        assert np.array_equal(acs(RE0)["theta2_prime"], IM0.coeffs)
 
     def test_recovered_Omega_is_decomposable(self):
         # iota_v Omega' ^ Omega' = 0 characterizes decomposable 3-forms
         rng = np.random.default_rng(24)
         L = LinearMap(np.eye(6) + 0.3 * rng.standard_normal((6, 6)))
         th = pullback(L, RE0)
-        J = acs_from_theta1(th)
-        Om = th + 1j * theta2_prime(J, th)
+        Om = th + 1j * KForm(6, 3, acs(th)["theta2_prime"])
         from cyglue.forms import contract
         for i in range(6):
             v = np.zeros(6)
@@ -122,8 +122,9 @@ class TestCompanionForm:
         rng = np.random.default_rng(25)
         L = LinearMap(np.eye(6) + 0.3 * rng.standard_normal((6, 6)))
         th = pullback(L, RE0)
-        Jm = np.asarray(acs_from_theta1(th).matrix)
-        Om = th + 1j * theta2_prime(acs_from_theta1(th), th)
+        rec = acs(th)
+        Jm = rec["J"]
+        Om = th + 1j * KForm(6, 3, rec["theta2_prime"])
         T = Om.as_tensor()
         lhs = np.einsum("da,dbc->abc", Jm, T)
         assert np.allclose(lhs, 1j * T, atol=1e-10)
@@ -132,8 +133,8 @@ class TestCompanionForm:
         rng = np.random.default_rng(26)
         L = LinearMap(np.eye(6) + 0.3 * rng.standard_normal((8, 6, 6)))
         th = pullback(L, RE0)
-        t2 = theta2_prime(acs_from_theta1(th), th)
-        tops = wedge(th, t2).top_coefficient()
+        t2 = KForm(6, 3, acs(th)["theta2_prime"])
+        tops = wedge(th, t2).coeffs[..., 0]
         assert np.all(tops > 0)
 
 
@@ -166,15 +167,18 @@ class TestRecovery:
         assert rep.within_eps0
 
     def test_omega11_projection(self):
-        J = acs_from_theta1(RE0)
+        def omega_11(omega):
+            return su3._recover_batch(omega.coeffs,
+                                      OMEGA0.coeffs)["omega_11"]
+
         a = oc.to_kform({(0, 2): 1.0}, 6, 2)  # du1 ^ du2
-        p = omega_11(a, J)
+        p = KForm(6, 2, omega_11(a))
         expect = {(0, 2): 0.5, (1, 3): 0.5}  # (du1 du2 + dv1 dv2)/2
         got = oc.from_kform(p)
         assert got == pytest.approx(expect)
         # idempotent and identity on (1,1) forms
-        assert np.allclose(omega_11(p, J).coeffs, p.coeffs, atol=1e-15)
-        assert np.allclose(omega_11(OM0, J).coeffs, OM0.coeffs, atol=1e-15)
+        assert np.allclose(omega_11(p), p.coeffs, atol=1e-15)
+        assert np.allclose(omega_11(OM0), OM0.coeffs, atol=1e-15)
 
     def test_negative_omega_raises_not_positive(self):
         with pytest.raises(NotPositive):
@@ -230,7 +234,7 @@ class TestRecovery:
 
 
 class TestRecoveryKernels:
-    """The batched recovery against the public single-purpose functions."""
+    """The batched recovery against direct constructions of its parts."""
 
     def setup_method(self):
         rng = np.random.default_rng(31)
@@ -253,7 +257,7 @@ class TestRecoveryKernels:
         U = (np.swapaxes(J, -1, -2) @ T.reshape(32, 6, 36)).reshape(T.shape)
         U = (U + np.moveaxis(U, [-3, -2, -1], [-1, -3, -2])
              + np.moveaxis(U, [-3, -2, -1], [-2, -1, -3])) / 3.0
-        want = -KForm.from_tensor(6, 3, U).coeffs
+        want = -mi.tensor_to_coeffs(U, 6, 3)
         assert np.array_equal(su3._theta2(J, su3._iota_table(self.theta)),
                               want)
 
@@ -310,7 +314,9 @@ class TestRecoveryKernels:
 
     def test_congruence_matches_omega_11(self):
         out = su3._recover_batch(self.omega, self.theta + 0j)
-        want = omega_11(KForm(6, 2, self.omega), LinearMap(out["J"])).coeffs
+        # the J-invariant part (omega + omega(J., J.)) / 2
+        omega = KForm(6, 2, self.omega)
+        want = 0.5 * (omega + pullback(LinearMap(out["J"]), omega)).coeffs
         assert np.max(np.abs(out["omega_11"] - want)) \
             <= 1e-14 * np.max(np.abs(want))
 
@@ -472,7 +478,7 @@ class TestMetricComparison:
         d_om = rng.standard_normal(15)
         d_Om = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         from cyglue.forms import MetricTensor, form_norm
-        g = MetricTensor.euclidean(6)
+        g = MetricTensor(6, np.eye(6))
         unit = max(float(form_norm(g, KForm(6, 2, d_om))),
                    float(form_norm(g, KForm(6, 3, d_Om))))
         ratios = []
