@@ -9,8 +9,8 @@ thm52 (exact rational ledger only), list-geometries (registry catalogue).
 A run reads one JSON config document, applies command-line overrides for
 top-level scalar fields, executes the suite, prints one line per check,
 and writes ``report.json`` (plus ``scan.csv`` for glue-scan) into the
-output directory. Worker count resolves flag, then the config file,
-then 1.
+output directory. A RunConfig checks and normalises its values when it
+is built, so one made in Python obeys the same rules as a config file.
 
 Report schema, version 1: command, config echo, seed, package version,
 wall time, one record per check carrying (name, measured, predicted,
@@ -50,9 +50,6 @@ from .forms import KForm, hodge_star, pullback, wedge
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("pointwise", "cone-verify", "ale-verify", "moser",
-            "glue-scan", "thm52", "list-geometries")
-
 GEOMETRIES = {
     "flat_c3": ("cone", cn.flat_c3_cone),
     "c3_mod_z3": ("cone", cn.quotient_cone_z3),
@@ -79,7 +76,10 @@ _POSITIVE_KEYS = ("t_list", "steps", "n_radial", "link_level", "n_sup_dirs",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one batch run."""
+    """Parameters of one batch run. Construction checks every value and
+    turns lists into tuples and ints into floats for float keys, so a
+    RunConfig that exists is valid, however it was built; an invalid one
+    raises ConfigInvalid."""
 
     command: str
     geometry: Optional[str] = None
@@ -96,6 +96,51 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     out: str = "."
+
+    def __post_init__(self):
+        for key, kind in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if value is None and key in _OPTIONAL_KEYS:
+                continue
+            is_list = key in _LIST_KEYS
+            if is_list != isinstance(value, (list, tuple)):
+                raise ConfigInvalid(f"{key} must {'' if is_list else 'not '}"
+                                    f"be a list, got {value!r}")
+            accepted = (int, float) if kind is float else kind
+            items = value if is_list else [value]
+            # bool is an int subclass, but true/false is no number here
+            if any(isinstance(v, bool) or not isinstance(v, accepted)
+                   for v in items):
+                raise ConfigInvalid(
+                    f"{key} must hold {kind.__name__} values, got {value!r}")
+            try:
+                object.__setattr__(self, key, tuple(map(kind, value))
+                                   if is_list else kind(value))
+            except OverflowError:  # an int too large for a float
+                raise ConfigInvalid(f"{key} must be finite, got {value!r}")
+            if kind is float and not all(math.isfinite(v) for v in items):
+                raise ConfigInvalid(f"{key} must be finite, got {value!r}")
+            if key in _POSITIVE_KEYS and not all(v > 0 for v in items):
+                raise ConfigInvalid(f"{key} must be positive, got {value!r}")
+            if key in ("fit_slack", "seed") and value < 0:
+                raise ConfigInvalid(f"{key} must be nonnegative, got "
+                                    f"{value!r}")
+            if key == "link_level" and len(value) != 3:
+                raise ConfigInvalid(f"link_level must hold three node counts "
+                                    f"(n_rho, n_ang, n_psi), got {value!r}")
+        if self.command not in COMMANDS:
+            raise ConfigInvalid(f"unknown command {self.command!r}")
+        if self.geometry is None:
+            return
+        if self.command not in _GEOMETRY_COMMANDS:
+            raise ConfigInvalid(f"geometry is read only by "
+                                f"{' and '.join(_GEOMETRY_COMMANDS)}, not by "
+                                f"{self.command}")
+        cones = sorted(n for n, (kind, _) in GEOMETRIES.items()
+                       if kind == "cone")
+        if self.geometry not in cones:
+            raise ConfigInvalid(f"geometry must name a cone, one of {cones}, "
+                                f"got {self.geometry!r}")
 
 
 @dataclass(frozen=True)
@@ -144,14 +189,7 @@ def _error_record(err) -> dict:
 
 
 def _cone_from(config: RunConfig, default: str) -> cn.ConeGeometry:
-    name = config.geometry or default
-    if name not in GEOMETRIES:
-        raise ConfigInvalid(
-            f"unknown geometry {name!r}; known: {sorted(GEOMETRIES)}")
-    kind, build = GEOMETRIES[name]
-    if kind != "cone":
-        raise ConfigInvalid(f"geometry {name!r} is not a cone")
-    return build()
+    return GEOMETRIES[config.geometry or default][1]()
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +439,13 @@ _SUITES = {
     "glue-scan": _run_glue_scan,
     "thm52": _run_thm52,
 }
+COMMANDS = (*_SUITES, "list-geometries")
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute the named suite and return its report."""
     if config.command not in _SUITES:
-        raise ConfigInvalid(f"unknown command {config.command!r}")
+        raise ConfigInvalid(f"{config.command} has no suite to run")
     report = RunReport(command=config.command, config=asdict(config),
                        seed=config.seed)
     start = time.perf_counter()
@@ -419,7 +458,8 @@ def run(config: RunConfig) -> RunReport:
 # config plumbing
 
 def load_config(path: Optional[str], overrides: dict) -> RunConfig:
-    """Merge the JSON document with command-line overrides."""
+    """Read the JSON document at path (none when None), merge the overrides
+    that are not None and build the RunConfig, which checks the values."""
     data = {}
     if path is not None:
         try:
@@ -434,51 +474,12 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigInvalid(f"config file {path} must hold a JSON "
                                 f"object, got {type(data).__name__}")
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    data.update((k, v) for k, v in overrides.items() if v is not None)
     unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    if data.get("workers") is None:
-        data["workers"] = 1
     if "command" not in data:
         raise ConfigInvalid("no command given (argument or config file)")
-    if data["command"] not in COMMANDS:
-        raise ConfigInvalid(f"unknown command {data['command']!r}")
-    if (data.get("geometry") is not None
-            and data["command"] not in _GEOMETRY_COMMANDS):
-        raise ConfigInvalid(
-            f"geometry is read only by {' and '.join(_GEOMETRY_COMMANDS)}, "
-            f"not by {data['command']}")
-    for key, value in data.items():
-        if value is None and key in _OPTIONAL_KEYS:
-            continue
-        is_list = key in _LIST_KEYS
-        if is_list != isinstance(value, (list, tuple)):
-            raise ConfigInvalid(f"{key} must {'' if is_list else 'not '}"
-                                f"be a list, got {value!r}")
-        kind = _CONFIG_TYPES[key]
-        accepted = (int, float) if kind is float else kind
-        items = value if is_list else [value]
-        # bool is an int subclass, but true/false is no number here
-        if any(isinstance(v, bool) or not isinstance(v, accepted)
-               for v in items):
-            raise ConfigInvalid(
-                f"{key} must hold {kind.__name__} values, got {value!r}")
-        data[key] = tuple(map(kind, value)) if is_list else kind(value)
-        if kind is float and not all(math.isfinite(v) for v in items):
-            raise ConfigInvalid(f"{key} must be finite, got {value!r}")
-        if key in _POSITIVE_KEYS and not all(v > 0 for v in items):
-            raise ConfigInvalid(f"{key} must be positive, got {value!r}")
-        if key == "fit_slack" and value < 0:
-            raise ConfigInvalid(f"fit_slack must be nonnegative, got "
-                                f"{value!r}")
-        if key == "seed" and value < 0:
-            raise ConfigInvalid(f"seed must be nonnegative, got {value!r}")
-        if key == "link_level" and len(value) != 3:
-            raise ConfigInvalid(f"link_level must hold three node counts "
-                                f"(n_rho, n_ang, n_psi), got {value!r}")
     return RunConfig(**data)
 
 
@@ -542,9 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in (
-        "command", "out", "workers", "seed", "geometry", "nu", "lam",
-        "alpha", "amplitude", "steps", "fit_slack")}
+    overrides = {k: v for k, v in vars(args).items() if k != "config"}
     try:
         if args.t_list is not None:
             try:

@@ -323,8 +323,9 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
     steps. The cone chart's Kaehler form omega_V is constant, so it is
     built once per flow attempt. Jacobians of the chart come from central
     differences of neighbouring trajectories, offset by 1e-5. A trajectory
-    leaving the chart annulus triggers a retry on a radially shrunk grid,
-    at most 8 times, after which DomainEscape propagates; its sample_index
+    leaving the escape annulus (r_min / 2, 2 r_max), a factor-2 margin on
+    each side of r_bounds, triggers a retry on a radially shrunk grid, at
+    most 8 times, after which DomainEscape propagates; its sample_index
     is the first point of the last grid whose trajectory, or one of its
     Jacobian stencil copies, escaped.
     """
@@ -335,7 +336,7 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
                             check_points=shell_grid(a, b, 4, 2, seed),
                             fd_h=fd_h)
 
-    lo_bound, hi_bound = 0.5 * a, b
+    lo_bound, hi_bound = 0.5 * a, 2.0 * b
 
     def flow(y0):
         """The images of y0 at t = 1, or None and the mask of the

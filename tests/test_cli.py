@@ -19,6 +19,48 @@ SMALL_SCAN = {
 }
 
 
+# doc: the config's keys beside "command": "thm52", or the file's whole
+# text when a string, or no file at all when None; key: the word the
+# error message must hold
+BAD_CONFIGS = [
+    ({"t_list": "0.4"}, [], "t_list"),
+    ({"link_level": 4}, [], "link_level"),
+    ({"nu": "two"}, [], "nu"),
+    ({"amplitude": [0.003]}, [], "amplitude"),
+    ({"seed": True}, [], "seed"),
+    ({"workers": 0}, [], "workers"),
+    ({}, ["--nu", "-1"], "nu"),
+    pytest.param('{"command": "thm52",', [], "not valid JSON",
+                 id="invalid-json"),
+    pytest.param(None, [], "cannot read config file", id="no-file"),
+    pytest.param("[1]", [], "must hold a JSON object",
+                 id="not-an-object"),
+    ({}, ["--t-list", "0.4,abc"], "t_list"),
+    ({"command": "glue-scan", "n_radial": 0}, [], "n_radial"),
+    ({"n_sup_dirs": 0}, [], "n_sup_dirs"),
+    ({"link_level": [4, 0, 4]}, [], "link_level"),
+    ({"link_level": [4, 4, 4, 4]}, [], "link_level"),
+    ({"link_level": [4, 4]}, [], "link_level"),
+    ({"t_list": [0.4, 0.2, 0.0, 0.1]}, [], "t_list"),
+    ({"steps": -8}, [], "steps"),
+    ({"command": "cone-verify", "seed": -1}, [], "seed"),
+    ({"command": "moser", "nu": 0}, [], "nu"),
+    ({}, ["--lam", "nan"], "lam"),
+    ({}, ["--fit-slack", "-1"], "fit_slack"),
+    ({}, ["--amplitude", "inf"], "amplitude"),
+    ({"geometry": "flat_c3"}, [], "geometry"),
+    ({"command": "glue-scan", "geometry": "c3_mod_z3"}, [], "geometry"),
+    ({"workers": None}, [], "workers"),
+    ({"command": "moser", "steps": 0}, [], "steps"),
+    ({"command": "moser", "geometry": "calabi_ale_o3"}, [], "geometry"),
+    ({"nu": 10 ** 400}, [], "nu"),
+]
+# the rows whose document is invalid on its own (a pytest.param row
+# unpacks to its values, marks and id, and its values are no dict)
+BAD_DOCUMENTS = [(doc, key) for doc, flags, key in BAD_CONFIGS
+                 if isinstance(doc, dict) and not flags]
+
+
 @pytest.fixture(scope="module")
 def scan_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("scan")
@@ -62,37 +104,7 @@ class TestConfigPlumbing:
         assert cli.load_config(str(cfg), {"workers": 3}).workers == 3
         assert cli.load_config(str(cfg), {}).workers == 4
 
-    # doc: the config's keys beside "command": "thm52", or the file's
-    # whole text when a string, or no file at all when None
-    @pytest.mark.parametrize("doc, flags, key", [
-        ({"t_list": "0.4"}, [], "t_list"),
-        ({"link_level": 4}, [], "link_level"),
-        ({"nu": "two"}, [], "nu"),
-        ({"amplitude": [0.003]}, [], "amplitude"),
-        ({"seed": True}, [], "seed"),
-        ({"workers": 0}, [], "workers"),
-        ({}, ["--nu", "-1"], "nu"),
-        pytest.param('{"command": "thm52",', [], "not valid JSON",
-                     id="invalid-json"),
-        pytest.param(None, [], "cannot read config file", id="no-file"),
-        pytest.param("[1]", [], "must hold a JSON object",
-                     id="not-an-object"),
-        ({}, ["--t-list", "0.4,abc"], "t_list"),
-        ({"command": "glue-scan", "n_radial": 0}, [], "n_radial"),
-        ({"n_sup_dirs": 0}, [], "n_sup_dirs"),
-        ({"link_level": [4, 0, 4]}, [], "link_level"),
-        ({"link_level": [4, 4, 4, 4]}, [], "link_level"),
-        ({"link_level": [4, 4]}, [], "link_level"),
-        ({"t_list": [0.4, 0.2, 0.0, 0.1]}, [], "t_list"),
-        ({"steps": -8}, [], "steps"),
-        ({"command": "cone-verify", "seed": -1}, [], "seed"),
-        ({"command": "moser", "nu": 0}, [], "nu"),
-        ({}, ["--lam", "nan"], "lam"),
-        ({}, ["--fit-slack", "-1"], "fit_slack"),
-        ({}, ["--amplitude", "inf"], "amplitude"),
-        ({"geometry": "flat_c3"}, [], "geometry"),
-        ({"command": "glue-scan", "geometry": "c3_mod_z3"}, [], "geometry"),
-    ])
+    @pytest.mark.parametrize("doc, flags, key", BAD_CONFIGS)
     def test_bad_config_exits_two(self, doc, flags, key, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         if isinstance(doc, dict):
@@ -104,6 +116,23 @@ class TestConfigPlumbing:
         assert code == 2
         assert not (tmp_path / "report.json").exists()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", BAD_DOCUMENTS)
+    def test_bad_values_raise_on_construction(self, doc, key):
+        # a RunConfig built in Python obeys the config file's rules
+        with pytest.raises(ConfigInvalid, match=key):
+            cli.RunConfig(**{"command": "thm52", **doc})
+
+    def test_construction_normalises_lists_and_floats(self):
+        config = cli.RunConfig(command="thm52", t_list=[1, 0.5, 0.25, 0.1],
+                               link_level=[3, 3, 3], nu=2)
+        assert config.t_list == (1.0, 0.5, 0.25, 0.1)
+        assert config.link_level == (3, 3, 3)
+        assert type(config.nu) is float and type(config.t_list[0]) is float
+
+    def test_run_refuses_the_catalogue(self):
+        with pytest.raises(ConfigInvalid, match="no suite"):
+            cli.run(cli.RunConfig(command="list-geometries"))
 
     def test_t_list_flag_parsing(self, capsys, tmp_path):
         code = cli.main(["thm52", "--t-list", "0.5,0.3,0.2,0.1",
