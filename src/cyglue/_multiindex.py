@@ -2,8 +2,17 @@
 
 A k-form on R^n is stored densely over the C(n, k) strictly increasing
 multi-indices, ordered as itertools.combinations emits them.  Everything here
-is a cached integer/float table so the form operations reduce to einsum
-contractions that broadcast over leading batch axes.
+is a cached integer/float table, or a kernel that reads one and broadcasts
+over leading batch axes.
+
+The dense structure tensors (wedge_tensor, contraction_tensor) are almost all
+zeros, so the bilinear kernels (forms.wedge, forms.contract and moser's
+Pfaffian solve) read only their nonzero terms, as the signed gather tables
+(left, right, sign) of wedge_terms and contraction_terms.  Each table has
+shape (n_out, m), every output collecting the same number m of terms, and
+signed_gather reads output K of x and y as
+sum_m sign[K, m] x[left[K, m]] y[right[K, m]]: one gathered product and one
+signed sum.
 """
 
 from __future__ import annotations
@@ -62,6 +71,42 @@ def contraction_tensor(dim: int, k: int) -> np.ndarray:
             J = K[:pos] + K[pos + 1:]
             C[i, pk, rank_out[J]] = -1.0 if pos % 2 else 1.0
     return C
+
+
+def _gather_terms(T: np.ndarray) -> tuple:
+    """The nonzero terms of a structure tensor T[left, right, out], grouped
+    by output as signed gather tables (left, right, sign), each of shape
+    (n_out, m); within an output they run in increasing (left, right)
+    order. T must give every output the same number m of terms."""
+    left, right, out = np.nonzero(T)
+    sign = T[left, right, out]
+    order = np.argsort(out, kind="stable")
+    tables = tuple(a[order].reshape(T.shape[2], -1)
+                   for a in (left, right, sign))
+    for a in tables:
+        a.flags.writeable = False   # cached: shared by every caller
+    return tables
+
+
+@lru_cache(maxsize=None)
+def wedge_terms(dim: int, k: int, l: int) -> tuple:
+    """Gather tables of the wedge of a k-form and an l-form: each of the
+    C(dim, k + l) outputs collects C(k + l, k) terms."""
+    return _gather_terms(wedge_tensor(dim, k, l))
+
+
+@lru_cache(maxsize=None)
+def contraction_terms(dim: int, k: int) -> tuple:
+    """Gather tables of iota_v a for a vector v (left) and a k-form a
+    (right): each of the C(dim, k - 1) outputs collects dim - k + 1 terms."""
+    return _gather_terms(contraction_tensor(dim, k))
+
+
+def signed_gather(x: np.ndarray, y: np.ndarray, terms: tuple) -> np.ndarray:
+    """sum_m sign[K, m] x[..., left[K, m]] y[..., right[K, m]] over the
+    gather tables terms = (left, right, sign), broadcasting x and y."""
+    left, right, sign = terms
+    return np.einsum("...km,km->...k", x[..., left] * y[..., right], sign)
 
 
 @lru_cache(maxsize=None)

@@ -278,19 +278,25 @@ def _run_ale_verify(config: RunConfig, report: RunReport):
 
 
 def _synthetic_closed_two_form(nu: float, seed: int):
-    """amp * d(r^w beta) with w = nu + 2, so |eta| grows at rate nu."""
+    """eta = 0.3 d(r^w beta) with w = nu + 2 and beta = d(xhat . c) for a
+    seeded unit vector c, so |eta| grows at rate nu.
+
+    eta is evaluated in closed form. d beta = 0, and
+    dr ^ beta = (y ^ c) / r^2 because xhat ^ xhat = 0, so
+    eta = 0.3 w r^(w - 3) (y ^ c). The coefficients of y ^ c are one
+    product y @ Y with the (6, 15) matrix Y of the map y -> y ^ c, whose
+    row i is e_i ^ c, built once with the field.
+    """
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(6)
     c /= np.linalg.norm(c)
     w = nu + 2.0
+    Y = wedge(KForm(6, 1, np.eye(6)), KForm(6, 1, c)).coeffs
 
     def eta(y):
         y = np.asarray(y, float)
         r = np.linalg.norm(y, axis=-1)
-        xh = y / r[..., None]
-        beta = KForm(6, 1, (c - xh * (xh @ c)[..., None]) / r[..., None])
-        dr = KForm(6, 1, xh)
-        return wedge(dr, beta) * (0.3 * w * r ** (w - 1.0))
+        return KForm(6, 2, (y @ Y) * (0.3 * w * r ** (w - 3.0))[..., None])
 
     return eta, w
 

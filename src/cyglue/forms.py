@@ -171,32 +171,35 @@ class LinearMap:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
+    """Exterior product a ^ b.
+
+    Each output coefficient is a signed sum over the C(k + l, k) ways to
+    split its index set between a and b, read as one gathered product and
+    one signed sum (_multiindex.wedge_terms).
+    """
     if a.dim != b.dim:
         raise DimensionMismatch("wedge of forms in different dimensions")
     if a.degree + b.degree > a.dim:
         raise DimensionMismatch("wedge degree exceeds dimension")
-    S = mi.wedge_tensor(a.dim, a.degree, b.degree)
-    ni, nj, nk = S.shape
-    # staged as two matmuls; the three-operand einsum path is far slower
-    tmp = a.coeffs @ S.reshape(ni, nj * nk)
-    tmp = tmp.reshape(tmp.shape[:-1] + (nj, nk))
-    c = (b.coeffs[..., None, :] @ tmp)[..., 0, :]
-    return KForm(a.dim, a.degree + b.degree, c)
+    terms = mi.wedge_terms(a.dim, a.degree, b.degree)
+    return KForm(a.dim, a.degree + b.degree,
+                 mi.signed_gather(a.coeffs, b.coeffs, terms))
 
 
 def contract(v: np.ndarray, a: KForm) -> KForm:
-    """Interior product iota_v a."""
+    """Interior product iota_v a, contracting v into the first slot.
+
+    Each output coefficient is a signed sum over the dim - k + 1 indices
+    that can join its index set, read as one gathered product and one
+    signed sum (_multiindex.contraction_terms).
+    """
     if a.degree == 0:
         raise DimensionMismatch("cannot contract a 0-form")
     v = np.asarray(v)
     if v.shape[-1] != a.dim:
         raise DimensionMismatch("vector dimension mismatch")
-    C = mi.contraction_tensor(a.dim, a.degree)
-    ni, na, nb = C.shape
-    tmp = v @ C.reshape(ni, na * nb)
-    tmp = tmp.reshape(tmp.shape[:-1] + (na, nb))
-    c = (a.coeffs[..., None, :] @ tmp)[..., 0, :]
-    return KForm(a.dim, a.degree - 1, c)
+    terms = mi.contraction_terms(a.dim, a.degree)
+    return KForm(a.dim, a.degree - 1, mi.signed_gather(v, a.coeffs, terms))
 
 
 def pullback(L, a: KForm) -> KForm:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from . import _multiindex as mi
 from .analysis import fd_exterior_derivative, shell_grid, unit_directions
@@ -152,6 +151,14 @@ def _is_homogeneous(eta_field, pts: np.ndarray, probe: KForm,
     return True
 
 
+def quad_vec(f, a, b, **kwargs):
+    """scipy.integrate.quad_vec, imported on the first call: only the
+    quadrature path of radial_primitive integrates, so importing cyglue
+    does not load scipy."""
+    from scipy.integrate import quad_vec as scipy_quad_vec
+    return scipy_quad_vec(f, a, b, **kwargs)
+
+
 def radial_primitive(eta_field, direction: str, decay_rate: float,
                      check_points: Optional[np.ndarray] = None,
                      fd_h=None) -> RadialPrimitive:
@@ -214,47 +221,28 @@ def radial_primitive(eta_field, direction: str, decay_rate: float,
     return prim
 
 
-def _wedge_terms(k: int, l: int, distinct: bool = False) -> tuple:
-    """Gather tables (left, right, sign), each of shape (C(6, k + l), m),
-    with (a ^ b)_K = sum_m sign[K, m] a[left[K, m]] b[right[K, m]] for a
-    k-form a and an l-form b on R^6.
-
-    With distinct, k = l = 2 and only the terms left < right are kept:
-    the wedge of 2-forms is symmetric, so these list each product of
-    a ^ a / 2 once.
-    """
-    S = mi.wedge_tensor(6, k, l)
-    left, right, out = np.nonzero(S)
-    sign = S[left, right, out]
-    if distinct:
-        keep = left < right
-        left, right, out, sign = (a[keep] for a in (left, right, out, sign))
-    # every output coefficient collects the same number of terms
-    order = np.argsort(out, kind="stable")
-    shape = (S.shape[2], -1)
-    return tuple(a[order].reshape(shape) for a in (left, right, sign))
-
-
 # q = omega ^ omega / 2: each 4-form coefficient is a 4 x 4 sub-Pfaffian,
-# a signed sum over the 3 ways to split its index set into two pairs
-_Q_LEFT, _Q_RIGHT, _Q_SIGN = _wedge_terms(2, 2, distinct=True)
+# a signed sum over the 3 ways to split its index set into two pairs. The
+# wedge of 2-forms is symmetric, so the terms left < right list each
+# product of omega ^ omega / 2 once.
+_Q_KEEP = np.less(*mi.wedge_terms(6, 2, 2)[:2])
+_Q_TERMS = tuple(a[_Q_KEEP].reshape(15, 3) for a in mi.wedge_terms(6, 2, 2))
 # Pf = (omega ^ q) / 3 on the volume form: each pair meets its complement
-_PF_LEFT, _PF_RIGHT, _PF_SIGN = (a[0] for a in _wedge_terms(2, 4))
-_PF_SIGN = _PF_SIGN / 3.0
+_PF_LEFT, _PF_RIGHT, _PF_SIGN = mi.wedge_terms(6, 2, 4)
+_PF_TERMS = (_PF_LEFT, _PF_RIGHT, _PF_SIGN / 3.0)
 # X_i Pf = (-1)^i (-sigma ^ q)_{5-i}: the 5-form omitting index i sits at
 # storage position 5 - i, so row i is row 5 - i of the sigma ^ q table
-_X_LEFT, _X_RIGHT, _X_SIGN = (a[::-1] for a in _wedge_terms(1, 4))
-_X_SIGN = _X_SIGN * -np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
+_X_LEFT, _X_RIGHT, _X_SIGN = (a[::-1] for a in mi.wedge_terms(6, 1, 4))
+_X_TERMS = (_X_LEFT, _X_RIGHT,
+            _X_SIGN * -np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None])
 
 
 def _pfaffian_invariants(w: np.ndarray) -> tuple:
     """q = omega ^ omega / 2 and Pf = (omega ^ q) / 3 of the 2-form
     coefficients w (..., 15), and the mask of the samples whose invariants
     certify them nondegenerate (see moser_vector_field)."""
-    q = np.einsum("...km,km->...k", w[..., _Q_LEFT] * w[..., _Q_RIGHT],
-                  _Q_SIGN)
-    pf = np.einsum("...m,m->...", w[..., _PF_LEFT] * q[..., _PF_RIGHT],
-                   _PF_SIGN)
+    q = mi.signed_gather(w, w, _Q_TERMS)
+    pf = mi.signed_gather(w, q, _PF_TERMS)[..., 0]
     certified = pf * pf > (_CERT_MARGIN * np.einsum("...k,...k->...", w, w)
                            * np.einsum("...k,...k->...", q, q))
     return q, pf, certified
@@ -305,9 +293,7 @@ def moser_vector_field(sigma: KForm, omega_t: KForm) -> np.ndarray:
             raise Degenerate(
                 f"omega_t singular value ratio {float(np.min(ratio)):.2e}",
                 sample_index=[int(i) for i in first])
-    s = sigma.coeffs
-    return (np.einsum("...km,km->...k", s[..., _X_LEFT] * q[..., _X_RIGHT],
-                      _X_SIGN) / pf[..., None])
+    return mi.signed_gather(sigma.coeffs, q, _X_TERMS) / pf[..., None]
 
 
 def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
@@ -381,8 +367,9 @@ def moser_integrate(cone, eta_field, decay_rate: float, r_bounds: tuple,
         # the batch holds 13 stencil copies of pts; name the point
         first = int(np.argmax(escaped.reshape(-1, len(pts)).any(axis=0)))
         raise DomainEscape(
-            f"trajectories kept leaving ({a}, {b}) after "
-            f"{_MAX_HALVINGS} domain halvings (first at sample {first})",
+            f"trajectories kept leaving the escape annulus ({lo_bound}, "
+            f"{hi_bound}) after {_MAX_HALVINGS} domain halvings (first at "
+            f"sample {first})",
             sample_index=[first])
 
     n = len(pts)

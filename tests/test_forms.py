@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from cyglue import _multiindex as mi
 from cyglue._multiindex import coeffs_to_tensor, tensor_to_coeffs
 from cyglue.forms import (
     KForm, LinearMap, MetricTensor, contract, form_norm, hodge_star,
@@ -226,6 +227,63 @@ class TestTensorExpansion:
         assert got.shape == want.shape == (5,) + (dim,) * k
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _int_coeffs(rng, shape, complex_):
+    # integer values: every product and sum below is exact in float64
+    c = rng.integers(-9, 10, shape).astype(float)
+    if complex_:
+        c = c + 1j * rng.integers(-9, 10, shape)
+    return c
+
+
+def _wedge_degrees(dim):
+    return [(k, l) for k in range(dim + 1) for l in range(dim + 1 - k)]
+
+
+class TestGatherKernels:
+    """wedge and contract read signed gather tables; the dense structure
+    tensors they replace are the reference, on every admitted degree."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 6, 7])
+    def test_wedge_equals_dense_table(self, dim, complex_):
+        rng = np.random.default_rng(dim)
+        for k, l in _wedge_degrees(dim):
+            # batches (2, 1) and (3,) broadcast to (2, 3)
+            a = _int_coeffs(rng, (2, 1, comb(dim, k)), complex_)
+            b = _int_coeffs(rng, (3, comb(dim, l)), complex_)
+            want = np.einsum("...i,...j,ijk->...k", a, b,
+                             mi.wedge_tensor(dim, k, l))
+            got = wedge(KForm(dim, k, a), KForm(dim, l, b)).coeffs
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (k, l)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 6, 7])
+    def test_contract_equals_dense_table(self, dim, complex_):
+        rng = np.random.default_rng(10 + dim)
+        for k in range(1, dim + 1):
+            v = _int_coeffs(rng, (2, 1, dim), complex_)
+            a = _int_coeffs(rng, (3, comb(dim, k)), complex_)
+            want = np.einsum("...i,...I,iIJ->...J", v, a,
+                             mi.contraction_tensor(dim, k))
+            got = contract(v, KForm(dim, k, a)).coeffs
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("dim", [2, 3, 6, 7])
+    def test_every_output_collects_the_same_number_of_terms(self, dim):
+        cases = [(mi.wedge_terms(dim, k, l), mi.wedge_tensor(dim, k, l),
+                  comb(k + l, k)) for k, l in _wedge_degrees(dim)]
+        cases += [(mi.contraction_terms(dim, k), mi.contraction_tensor(dim, k),
+                   dim - k + 1) for k in range(1, dim + 1)]
+        for (left, right, sign), T, m in cases:
+            assert left.shape == right.shape == sign.shape == (T.shape[2], m)
+            # the tables list each nonzero of the dense tensor once
+            assert np.count_nonzero(T) == sign.size
+            out = np.arange(T.shape[2])[:, None]
+            assert np.array_equal(T[left, right, out], sign)
 
 
 class TestValidation:

@@ -1,5 +1,10 @@
 """Radial splitting, radial primitives, and the Moser flow chart."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from cyglue.errors import (ConfigInvalid, Degenerate, DomainEscape, NotClosed,
                            RateOutOfRange)
 from cyglue.forms import KForm, contract, wedge
 
+ROOT = Path(__file__).resolve().parents[1]
 C_VEC = np.array([0.3, -0.7, 0.2, 0.5, -0.4, 0.6])
 
 
@@ -554,6 +560,32 @@ class TestMoserIntegrate:
             failed[seed] = [c.name for c in report.checks if not c.passed]
         assert failed == {seed: [] for seed in range(34)}
 
+    @pytest.mark.parametrize("seed", [0, 12])
+    def test_suite_eta_closed_form_matches_wedge(self, seed):
+        # the suite's eta = 0.3 d(r^w beta) = 0.3 w r^(w-1) dr ^ beta with
+        # beta = d(xhat . c), built here from the wedge it replaces
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(6)
+        c /= np.linalg.norm(c)
+        y = an.shell_grid(0.05, 1.2, 6, 4, seed + 1)
+        r = np.linalg.norm(y, axis=-1)
+        xh = y / r[:, None]
+        beta = KForm(6, 1, (c - xh * (xh @ c)[:, None]) / r[:, None])
+        for nu in (1.5, 3.0):
+            eta, w = cli._synthetic_closed_two_form(nu, seed)
+            want = (wedge(KForm(6, 1, xh), beta).coeffs
+                    * (0.3 * w * r ** (w - 1.0))[:, None])
+            got = eta(y).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_suite_takes_the_exact_primitive(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quad_vec called by the moser suite")
+        monkeypatch.setattr(mo, "quad_vec", no_quadrature)
+        for seed in (0, 12):
+            report = cli.run(cli.RunConfig(command="moser", seed=seed))
+            assert all(c.passed for c in report.checks)
+
     def test_domain_escape_raises(self):
         eta = eta_weight(5.0, amp=3.0)
         with pytest.raises(DomainEscape) as err:
@@ -563,6 +595,9 @@ class TestMoserIntegrate:
         # the inner radius; the first direction alone flows inwards and
         # stays in the chart, so sample 0 never escapes
         assert err.value.sample_index == [1]
+        # the message names the annulus the trajectories left, a factor 2
+        # outside the sample annulus (0.5, 0.5001) on each side
+        assert "escape annulus (0.25, 1.0002)" in str(err.value)
         inward = mo.moser_integrate(self.cone, eta, 3.0, (0.5, 0.5001),
                                     steps=4, n_dirs=1, n_radii=2, fd_h=1e-4)
         assert inward.halvings == 0
@@ -574,3 +609,19 @@ class TestMoserIntegrate:
             mo.moser_integrate(self.cone, zero, 1.0, (0.8, 0.2))
         with pytest.raises(ConfigInvalid):
             mo.moser_integrate(self.cone, zero, 1.0, (0.0, 0.5))
+
+
+def test_import_and_moser_run_leave_scipy_unloaded(tmp_path):
+    # scipy is imported by radial_primitive's quadrature path alone, which
+    # the moser suite's homogeneous eta never takes
+    code = ("import sys\n"
+            "import cyglue\n"
+            "from cyglue import cli\n"
+            "status = cli.main(['moser', '--out', sys.argv[1]])\n"
+            "print(status, 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
