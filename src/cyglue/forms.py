@@ -69,11 +69,6 @@ class KForm:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(dim, degree, batch=(), complex_=False):
-        dtype = np.complex128 if complex_ else np.float64
-        return KForm(dim, degree, np.zeros(batch + (comb(dim, degree),), dtype))
-
-    @staticmethod
     def from_components(dim, degree, components):
         """Build from a {multi-index tuple: value} mapping."""
         rank = mi.index_rank(dim, degree)

@@ -19,8 +19,8 @@ compare them with the rational inequality ledger that the existence
 argument needs. The first derivatives are exact: Omega_t_jet gives
 Omega_t and the partials of Re Omega_t, the only ones the recovery and
 the norms read, in closed form from one pass, and the recovery carries
-them in forward mode (su3._recover_tangent); the second derivatives are
-one central difference of them.
+them in forward mode in its own pass (su3._recover_batch with
+directions); the second derivatives are one central difference of them.
 """
 
 from __future__ import annotations
@@ -183,12 +183,6 @@ class GluedStructure:
             raise ConfigInvalid("sample outside the outer chart scale eps")
         return x, r
 
-    def region(self, x) -> np.ndarray:
-        """Tag samples as resolved side "P", overlap "neck", or cone side "Q"."""
-        x, r = self._radii(x)
-        lo, hi = self.config.neck_bounds
-        return np.where(r < lo, "P", np.where(r > hi, "Q", "neck"))
-
     def Omega_t(self, x) -> KForm:
         return KForm(6, 3, self.Omega_t_jet(x)[0])
 
@@ -264,7 +258,8 @@ def build_glued(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
 
     Refused: an AC rate not below -3 (RateOutOfRange: the glued volume
     form defect would not decay), an AC space modelled on a different
-    cone, and a perturbation whose rate disagrees with config.nu
+    cone, an AC rate other than config.lam, the rate the exponent ledger
+    reads, and a perturbation whose rate disagrees with config.nu
     (ConfigInvalid).
     """
     if ac.rate >= -3.0:
@@ -273,6 +268,9 @@ def build_glued(config: GluingConfig, cone: ConeGeometry, ac: ACGeometry,
             "defect would not decay")
     if ac.modelled_cone.descriptor() != cone.descriptor():
         raise ConfigInvalid("AC space is modelled on a different cone")
+    if ac.rate != config.lam:
+        raise ConfigInvalid(f"AC rate {ac.rate:g} disagrees with config "
+                            f"lam = {config.lam:g}")
     if perturbation is not None and perturbation.nu != config.nu:
         raise ConfigInvalid("perturbation rate disagrees with config")
     return GluedStructure(config=config, cone=cone, ac=ac,
@@ -439,9 +437,10 @@ def _curvature_sup(ac: ACGeometry, seed: int = 0) -> float:
 
 def _neck_fields(glued: GluedStructure, x, nbatch=None) -> dict:
     """Every pointwise neck field of a scan row at the points x, exact,
-    from one Omega_t_jet, one recovery against the cone's Kaehler form
-    and one recovery tangent on the whole block: the defects of Omega_t
-    and of the recovered structure, and the gradient fields, no stencil.
+    from one Omega_t_jet and one recovery against the cone's Kaehler form,
+    carrying the jet's partials, on the whole block: the defects of
+    Omega_t and of the recovered structure, and the gradient fields, no
+    stencil.
 
     On the flat cone chart gradients are partials of coefficients, a
     k-form's scaled by sqrt(k!) to give the norm of its full tensor; the
@@ -453,17 +452,16 @@ def _neck_fields(glued: GluedStructure, x, nbatch=None) -> dict:
     x = np.asarray(x, float)
     lead = x.shape[:-1]
     Om, dOm = glued.Omega_t_jet(x.reshape(-1, 6))
-    out = su3._recover_batch(FLAT_OMEGA.coeffs, Om)
+    out = su3._recover_batch(FLAT_OMEGA.coeffs, Om, dOm)
     su3._raise_failures({key: out[key].reshape(lead)
                          for key in ("stable", "positive")},
                         len(lead) if nbatch is None else nbatch)
-    tangent = su3._recover_tangent(FLAT_OMEGA.coeffs, Om, dOm, out)
     fields = {
         "Omega_defect": Om - FLAT_OMEGA3.coeffs,
         "omega": out["omega_prime"] - FLAT_OMEGA.coeffs,
         "im_Omega": np.imag(Om) - out["theta2_prime"],
-        "grad_omega": np.sqrt(2.0) * tangent["omega_prime"],
-        "grad_metric": tangent["g"],
+        "grad_omega": np.sqrt(2.0) * out["d_omega_prime"],
+        "grad_metric": out["d_g"],
         "grad_re_Omega": np.sqrt(6.0) * dOm,
     }
     return {name: v.reshape(lead + v.shape[1:]) for name, v in fields.items()}

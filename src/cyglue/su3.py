@@ -18,11 +18,13 @@ of omega is returned beside them by _recover_batch.
 The recovery is a polynomial in theta1 followed by one square root, one
 quotient and one cube root (N. Hitchin, The geometry of three-forms in six
 dimensions, J. Diff. Geom. 55, 2000), so its derivative along a variation
-of Omega is exact in forward mode. _recover_tangent composes the
-polynomial maps into constant tables built once at import (_K_POLAR, the
-polarization of the quadratic form K(theta1), and _T2_THETA and _T2_J,
-the bilinear map (J, theta1) -> theta2_prime), so each derivative is one
-product per sample; the value pass keeps its iota and wedge tables.
+of Omega is exact in forward mode. Given directions, _recover_batch
+carries that tangent in the same pass: it composes the polynomial maps
+into constant tables built once at import (_K_POLAR, the polarization of
+the quadratic form K(theta1), and _T2_THETA and _T2_J, the bilinear map
+(J, theta1) -> theta2_prime), so each derivative is one product per
+sample, and reads every other factor off the value pass, which keeps its
+iota and wedge tables.
 """
 
 from __future__ import annotations
@@ -183,7 +185,9 @@ def _acs_batch(coeffs: np.ndarray) -> dict:
     J = flip K / sqrt(-lam), with flip = +-1 chosen so that
     pairing, the coefficient of theta ^ theta2_prime on the volume form,
     is nonnegative. Returned as a dict of J, lam, stable, theta2_prime,
-    pairing and flip.
+    pairing and flip, with sqrt_neg_lam, the sqrt(-lam) that divides K
+    (1 where unstable), and theta_w33 = coeffs @ _W33, the coefficients
+    of eta -> theta ^ eta on the volume form.
     """
     t1 = _iota_table(coeffs)
     K = _k_endomorphism(coeffs, t1)
@@ -194,19 +198,13 @@ def _acs_batch(coeffs: np.ndarray) -> dict:
     J = K / denom[..., None, None]
     # orientation: require theta ^ theta2_prime positively oriented
     t2 = _theta2(J, t1)
-    top = np.einsum("...j,...j->...", coeffs @ _W33, t2)
+    theta_w33 = coeffs @ _W33
+    top = np.einsum("...j,...j->...", theta_w33, t2)
     flip = np.where(top < 0, -1.0, 1.0)
     # theta2_prime and the pairing are linear in J, so flipping is exact
     return {"J": J * flip[..., None, None], "lam": lam, "stable": stable,
             "theta2_prime": t2 * flip[..., None], "pairing": top * flip,
-            "flip": flip}
-
-
-def _metric_from(omega_p: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """g = sym(T J) for the tensor T of the 2-form omega_p."""
-    T = (omega_p @ _TWO_FORM).reshape(omega_p.shape[:-1] + (6, 6))
-    g = T @ J
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
+            "flip": flip, "sqrt_neg_lam": denom, "theta_w33": theta_w33}
 
 
 def _wedge_square(om: np.ndarray) -> np.ndarray:
@@ -216,25 +214,44 @@ def _wedge_square(om: np.ndarray) -> np.ndarray:
     return (om[..., None, :] @ tmp)[..., 0, :]
 
 
-def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
-    """Vectorized recovery pipeline on raw coefficient arrays.
+def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray,
+                   dOmega_c: np.ndarray | None = None) -> dict:
+    """Vectorized recovery pipeline on raw coefficient arrays, and its
+    tangent along the directions dOmega_c when they are given.
 
     omega_c may be unbatched, one 2-form for every sample of Omega_c, as
     the flat Kaehler form is on the neck; it broadcasts against J.
     theta2_prime is read off the table of iota_{e_a} theta1 that builds J.
 
-    Returns a dict of arrays: the recovered fields, and the values of
-    _acs_batch that _recover_tangent reads. ``stable`` and ``positive``
-    are masks rather than raised errors so grid evaluations can report
-    the offending sample (_raise_failures turns them into errors).
-    ``positive`` is the eigenvalue rule w_min > _POS_RTOL max|w| on the
-    samples with f > 0. A Gershgorin certificate decides it without an
-    eigensolve wherever it can: the rows of g bound w_min from below and
-    max|w| from above, and a sample whose bounds clear a margin far above
-    _POS_RTOL always passes the rule (argument in
-    forms.gershgorin_certified).
+    Returns a dict of arrays: the recovered fields and the values of
+    _acs_batch. ``stable`` and ``positive`` are masks rather than raised
+    errors so grid evaluations can report the offending sample
+    (_raise_failures turns them into errors). ``positive`` is the
+    eigenvalue rule w_min > _POS_RTOL max|w| on the samples with f > 0.
+    A Gershgorin certificate decides it without an eigensolve wherever it
+    can: the rows of g bound w_min from below and max|w| from above, and
+    a sample whose bounds clear a margin far above _POS_RTOL always
+    passes the rule (argument in forms.gershgorin_certified).
+
+    With dOmega_c, Omega_c is one batch axis of samples, (n, 20), and
+    dOmega_c carries directions on one axis after it, (n, m, 20); the
+    dict then also holds the derivatives of omega_prime and g along them
+    with omega_c held fixed, d_omega_prime (n, m, 15) and d_g
+    (n, m, 6, 6). Only the real parts of Omega_c and dOmega_c enter.
+    Forward mode through this pass, with the polynomial maps composed
+    into constant tables: K is quadratic in theta, K = theta .
+    (theta @ _K_POLAR) / 2, so dK = dtheta . (theta @ _K_POLAR), one
+    product with a per-sample (20, 36) matrix; theta2_prime is bilinear
+    in J and theta, so its derivative is one product with theta @
+    _T2_THETA and one with J @ _T2_J; omega_11 is quadratic in J and
+    omega_11^3 cubic in omega_11. J = flip K / sqrt(-lam), f =
+    omega_11^3 / (3/2 pairing) and omega_prime = omega_11 f^(-1/3) follow
+    by the chain rule. The orientation flip and the masks are locally
+    constant. The derivatives are garbage where the sample is not stable
+    and positive.
     """
-    acs = _acs_batch(np.real(Omega_c))
+    theta = np.real(Omega_c)
+    acs = _acs_batch(theta)
     J = acs["J"]
 
     # omega(J., J.) has the tensor J^T W J of omega's tensor W
@@ -242,7 +259,8 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     om11 = 0.5 * (omega_c + mi.tensor_to_coeffs(
         np.swapaxes(J, -1, -2) @ W @ J, 6, 2))
 
-    num = np.einsum("...k,...k->...", om11 @ _W24, _wedge_square(om11))
+    om11_sq = _wedge_square(om11)
+    num = np.einsum("...k,...k->...", om11 @ _W24, om11_sq)
     # omega'^3 = (3/2) theta1 ^ theta2_prime fixes the scale f
     den = 1.5 * acs["pairing"]
     safe_den = np.where(den == 0.0, 1.0, den)
@@ -251,71 +269,48 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray):
     positive_f = np.where(acs["stable"], f > 0, False)
     scl = np.where(positive_f, np.abs(f), 1.0) ** (-1.0 / 3.0)
     omega_p = om11 * scl[..., None]
-    g = _metric_from(omega_p, J)
-    return {
+    # g = sym(T J) for the antisymmetric tensor T of omega_prime
+    T = (omega_p @ _TWO_FORM).reshape(omega_p.shape[:-1] + (6, 6))
+    g = T @ J
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    out = {
         **acs, "f": f, "omega_11": om11, "omega_prime": omega_p,
         "g": g, "positive": _positive_metric(g, positive_f),
     }
+    if dOmega_c is None:
+        return out
 
-
-def _recover_tangent(omega_c: np.ndarray, Omega_c: np.ndarray,
-                     dOmega_c: np.ndarray, rec: dict) -> dict:
-    """Tangent of _recover_batch along the directions dOmega_c, with
-    omega_c held fixed: the derivatives of omega_prime and g.
-
-    Omega_c is one batch axis of samples, (n, 20). dOmega_c carries the
-    directions on one axis after it, (n, m, 20), and so do the results,
-    (n, m, 15) and (n, m, 6, 6); only the real parts of Omega_c and
-    dOmega_c enter. rec is _recover_batch(omega_c, Omega_c), whose
-    values the tangent reads. Forward mode through the value pass, with
-    the polynomial maps composed into constant tables: K is quadratic in
-    theta, K = theta . (theta @ _K_POLAR) / 2, so dK = dtheta .
-    (theta @ _K_POLAR), one product with a per-sample (20, 36) matrix;
-    theta2_prime is bilinear in J and theta, so its derivative is one
-    product with theta @ _T2_THETA and one with J @ _T2_J; omega_11 is
-    quadratic in J and omega_11^3 cubic in omega_11. J = flip K /
-    sqrt(-lam), f = omega_11^3 / (3/2 pairing) and omega_prime =
-    omega_11 f^(-1/3) follow by the chain rule. The orientation flip and
-    the masks are locally constant. Garbage where rec is not stable and
-    positive.
-    """
-    theta, dtheta = np.real(Omega_c), np.real(dOmega_c)
+    dtheta = np.real(dOmega_c)
     n, m = dtheta.shape[:2]
     dK = (dtheta @ (theta @ _K_POLAR).reshape(n, 20, 36)).reshape(n, m, 6, 6)
     # J = flip K / sqrt(-lam) and d lam = tr(K dK) / 3 give
     # dJ = flip (dK + J tr(J dK) / 6) / sqrt(-lam)
-    J = rec["J"]
-    denom = np.sqrt(np.where(rec["stable"], -rec["lam"], 1.0))
     tr = np.einsum("nij,nmji->nm", J, dK)
     dJ = (dK + J[:, None] * (tr / 6.0)[..., None, None]) * (
-        rec["flip"] / denom)[:, None, None, None]
+        acs["flip"] / acs["sqrt_neg_lam"])[:, None, None, None]
 
     dt2p = (dJ.reshape(n, m, 36) @ (theta @ _T2_THETA).reshape(n, 36, 20)
             + dtheta @ (J.reshape(n, 36) @ _T2_J).reshape(n, 20, 20))
-    dpairing = (np.einsum("nmj,nj->nm", dtheta @ _W33, rec["theta2_prime"])
-                + np.einsum("nj,nmj->nm", theta @ _W33, dt2p))
+    dpairing = (np.einsum("nmj,nj->nm", dtheta @ _W33, acs["theta2_prime"])
+                + np.einsum("nj,nmj->nm", acs["theta_w33"], dt2p))
 
     # d(J^T W J) = X - X^T with X = dJ^T W J: one product with the signed
     # (36, 15) table _TWO_FORM.T
     dJt = np.swapaxes(dJ, -1, -2).reshape(n, 6 * m, 6)
-    X = (dJt @ (mi.coeffs_to_tensor(omega_c, 6, 2) @ J)).reshape(n, m, 36)
+    X = (dJt @ (W @ J)).reshape(n, m, 36)
     dom11 = 0.5 * (X @ _TWO_FORM.T)
-    om11 = rec["omega_11"]
-    dnum = 3.0 * np.einsum("nmk,nk->nm", dom11 @ _W24, _wedge_square(om11))
-    f = rec["f"]
-    df = (dnum - (1.5 * f)[:, None] * dpairing) / (1.5 * rec["pairing"])[:, None]
+    dnum = 3.0 * np.einsum("nmk,nk->nm", dom11 @ _W24, om11_sq)
+    df = (dnum - (1.5 * f)[:, None] * dpairing) / den[:, None]
 
-    positive_f = np.where(rec["stable"], f > 0, False)
-    scl = np.where(positive_f, np.abs(f), 1.0) ** (-1.0 / 3.0)
     dscl = np.where(positive_f, -scl / (3.0 * np.where(positive_f, f, 1.0)),
                     0.0)[:, None] * df
     domega_p = dom11 * scl[:, None, None] + om11[:, None] * dscl[..., None]
-    # d sym(T J) = sym(dT J + T dJ) = sym(dT J - dJ^T T), T the
-    # antisymmetric tensor of omega_prime
-    T = (rec["omega_prime"] @ _TWO_FORM).reshape(n, 6, 6)
+    # d sym(T J) = sym(dT J + T dJ) = sym(dT J - dJ^T T), T antisymmetric
     dT = (domega_p @ _TWO_FORM).reshape(n, 6 * m, 6)
     G = (dT @ J - dJt @ T).reshape(n, m, 6, 6)
-    return {"omega_prime": domega_p, "g": 0.5 * (G + np.swapaxes(G, -1, -2))}
+    out["d_omega_prime"] = domega_p
+    out["d_g"] = 0.5 * (G + np.swapaxes(G, -1, -2))
+    return out
 
 
 def _positive_metric(g: np.ndarray, candidate: np.ndarray) -> np.ndarray:

@@ -100,8 +100,6 @@ def to_kform(d, dim, k):
             comps[I] = complex(c)
         else:
             comps[I] = float(c)
-    if not comps:
-        return KForm.zero(dim, k)
     return KForm.from_components(dim, k, comps)
 
 

@@ -334,7 +334,7 @@ class TestFdExteriorDerivative:
 
         x = unit_dirs(5, seed=3)
         got = an.fd_exterior_derivative(field, x)
-        want = KForm.zero(6, 3, batch=(5,))
+        want = KForm(6, 3, np.zeros((5, 20)))
         from cyglue._multiindex import index_rank
         want.coeffs[..., index_rank(6, 3)[(0, 1, 2)]] = 1.0
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12

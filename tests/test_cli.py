@@ -351,6 +351,25 @@ class TestGlueScan:
         assert not (tmp_path / "scan.csv").exists()
         assert "overall: FAIL" in capsys.readouterr().out
 
+    def test_lam_other_than_the_model_rate_is_config_error(
+            self, tmp_path, capsys, monkeypatch):
+        # the scanned resolved model decays at rate -6, so a scan cannot
+        # read its ledger at lam = -7; thm52's ledger alone can
+        def no_neck(*args, **kwargs):
+            raise AssertionError("neck row evaluated")
+
+        monkeypatch.setattr(gl, "_neck_fields", no_neck)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SMALL_SCAN, "lam": -7.0}))
+        code = cli.main(["--config", str(cfg), "--out",
+                         str(tmp_path / "scan")])
+        assert code == 2
+        assert not (tmp_path / "scan" / "scan.csv").exists()
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "-6" in err and "-7" in err
+        assert cli.main(["thm52", "--lam", "-7", "--out",
+                         str(tmp_path / "thm52")]) == 0
+
     def test_short_t_list_is_config_error(self, tmp_path):
         code = cli.main(["glue-scan", "--t-list", "0.4,0.3",
                          "--out", str(tmp_path)])

@@ -75,7 +75,8 @@ class TestBuildPhiChi:
         assert np.array_equal(chi.coeffs, STAR_PHI0.coeffs)
 
     def test_zero_omega(self):
-        phi, chi = build_phi_chi(KForm.zero(6, 2), RE0, KForm.zero(6, 3))
+        phi, chi = build_phi_chi(KForm(6, 2, np.zeros(15)), RE0,
+                                 KForm(6, 3, np.zeros(20)))
         assert np.array_equal(phi.coeffs, embed_form(RE0).coeffs)
         assert np.all(chi.coeffs == 0)
 

@@ -147,6 +147,11 @@ class TestCorrectionForms:
         with pytest.raises(ConfigInvalid):
             gl.build_glued(gl.GluingConfig(t=0.1), cone, ac, pert)
 
+    def test_refuses_ac_rate_other_than_lam(self, geometry):
+        cone, ac, pert = geometry
+        with pytest.raises(ConfigInvalid, match="-6.*-7"):
+            gl.build_glued(gl.GluingConfig(t=0.1, lam=-7.0), cone, ac, pert)
+
     def test_conical_primitive_grows_at_rate_nu_plus_one(self, geometry):
         cone, _, pert = geometry
         radii = np.array([0.15, 0.25, 0.4, 0.6])
@@ -167,17 +172,11 @@ class TestCorrectionForms:
 
 
 class TestGluedStructure:
-    def test_region_tags(self, glued):
-        dirs = unit_dirs(3, seed=1)
-        assert np.all(glued.region(0.12 * dirs) == "P")
-        assert np.all(glued.region(0.2 * dirs) == "neck")
-        assert np.all(glued.region(0.5 * dirs) == "Q")
-
     def test_rejects_samples_outside_shared_chart(self, glued):
         with pytest.raises(ConfigInvalid):
-            glued.region(0.09 * unit_dirs(2))
+            glued.Omega_t(0.09 * unit_dirs(2))
         with pytest.raises(ConfigInvalid):
-            glued.region(1.2 * unit_dirs(2))
+            glued.Omega_t(1.2 * unit_dirs(2))
 
     def test_collapses_to_pure_branches(self, glued):
         dirs = unit_dirs(4, seed=5)
@@ -233,7 +232,10 @@ class TestGluedStructure:
                 gl.GluingConfig(t=0.1, conical_amplitude=0.0), cone, ac)
             assert glued.perturbation is None
         x = self._across_chart(glued, 14)
-        x = x[glued.region(x) == side]
+        lo, hi = glued.config.neck_bounds
+        r = np.linalg.norm(x, axis=-1)
+        x = x[{"P": r < lo, "Q": r > hi,
+               "neck": (r >= lo) & (r <= hi)}[side]]
         s = 1e-3 * np.linalg.norm(x, axis=-1)[:, None]
 
         def central(scale):
@@ -493,25 +495,21 @@ class TestDefectScan:
     def test_row_evaluates_each_neck_sample_once(self, geometry,
                                                   monkeypatch):
         seen = {"Omega_t_jet": [], "recover": [], "christoffel": 0,
-                "jets": [], "tangent": []}
+                "jets": [], "carried": []}
         jet, recover = gl.GluedStructure.Omega_t_jet, gl.su3._recover_batch
-        tangent = gl.su3._recover_tangent
 
         def counted_jet(self, x):
             seen["Omega_t_jet"].append(np.asarray(x, float).reshape(-1, 6))
             seen["jets"].append(jet(self, x))
             return seen["jets"][-1]
 
-        def counted_tangent(omega_c, Omega_c, dOmega_c, rec):
-            seen["tangent"].append((Omega_c, dOmega_c))
-            return tangent(omega_c, Omega_c, dOmega_c, rec)
-
-        def counted_recover(omega_c, Omega_c):
+        def counted_recover(omega_c, Omega_c, dOmega_c=None):
             seen["recover"].append(np.concatenate(
                 [Omega_c.real, Omega_c.imag,
                  np.broadcast_to(omega_c, Omega_c.shape[:-1] + (15,))],
                 axis=-1).reshape(-1, 55))
-            return recover(omega_c, Omega_c)
+            seen["carried"].append((Omega_c, dOmega_c))
+            return recover(omega_c, Omega_c, dOmega_c)
 
         def counted_christoffel(*args, **kwargs):
             seen["christoffel"] += 1
@@ -520,22 +518,32 @@ class TestDefectScan:
         christoffel = an.christoffel
         monkeypatch.setattr(gl.GluedStructure, "Omega_t_jet", counted_jet)
         monkeypatch.setattr(gl.su3, "_recover_batch", counted_recover)
-        monkeypatch.setattr(gl.su3, "_recover_tangent", counted_tangent)
         monkeypatch.setattr(an, "christoffel", counted_christoffel)
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
         for name in ("Omega_t_jet", "recover"):
             rows = np.concatenate(seen[name])
             assert len(np.unique(rows, axis=0)) == len(rows), name
         # each node's values and partials come from one jet, and each
-        # jet's values go to one recovery and, with its partials, to one
-        # recovery tangent
+        # jet's values and partials go to one recovery, which carries the
+        # partials in forward mode
         assert sum(map(len, seen["recover"])) \
             == sum(map(len, seen["Omega_t_jet"]))
-        assert len(seen["tangent"]) == len(seen["jets"])
-        for (Om, dOm), want in zip(seen["tangent"], seen["jets"]):
+        assert len(seen["carried"]) == len(seen["jets"])
+        for (Om, dOm), want in zip(seen["carried"], seen["jets"]):
             assert np.array_equal(Om, want[0])
             assert np.array_equal(dOm, want[1])
         assert seen["christoffel"] == 0
+
+    def test_directions_leave_the_neck_values_bytewise(self, glued):
+        # the tangent reads the value pass and writes none of its arrays
+        Om, dOm = glued.Omega_t_jet(gl._sup_grid(glued.config).reshape(-1, 6))
+        plain = gl.su3._recover_batch(cn.FLAT_OMEGA.coeffs, Om)
+        carried = gl.su3._recover_batch(cn.FLAT_OMEGA.coeffs, Om, dOm)
+        assert np.all(plain["stable"] & plain["positive"])
+        assert not {"d_omega_prime", "d_g"} & plain.keys()
+        assert carried.keys() == plain.keys() | {"d_omega_prime", "d_g"}
+        for key in plain:
+            assert plain[key].tobytes() == carried[key].tobytes(), key
 
     def test_row_expands_no_three_form_tensor(self, geometry, monkeypatch):
         # the companion 3-form is read off the iota table of theta1, so no
@@ -557,9 +565,9 @@ class TestDefectScan:
         sizes = []
         recover = gl.su3._recover_batch
 
-        def counted(omega_c, Omega_c):
+        def counted(omega_c, Omega_c, dOmega_c=None):
             sizes.append(int(np.prod(Omega_c.shape[:-1])))
-            return recover(omega_c, Omega_c)
+            return recover(omega_c, Omega_c, dOmega_c)
 
         monkeypatch.setattr(gl.su3, "_recover_batch", counted)
         gl._scan_row(gl.GluingConfig(t=0.1, **SMALL), *geometry, 1.0)
@@ -588,8 +596,8 @@ class TestDefectScan:
             last["y"] = np.asarray(y, float)
             return jet(self, y)
 
-        def failing_recover(omega_c, Omega_c):
-            out = recover(omega_c, Omega_c)
+        def failing_recover(omega_c, Omega_c, dOmega_c=None):
+            out = recover(omega_c, Omega_c, dOmega_c)
             offset = np.linalg.norm(last["y"] - x[node], axis=-1)
             out[key] = out[key] & ~((offset >= last["lo"])
                                     & (offset < 2.0 * step))

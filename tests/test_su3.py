@@ -324,11 +324,10 @@ class TestRecoveryKernels:
     def test_metric_table_matches_tensor_gather(self):
         # g = sym(T J) from the signed coefficient table, against the
         # tensor gather of omega_prime it replaced
-        rng = np.random.default_rng(35)
-        J = rng.standard_normal((32, 6, 6))
-        T = mi.coeffs_to_tensor(self.omega, 6, 2) @ J
+        out = su3._recover_batch(self.omega, self.theta + 0j)
+        T = mi.coeffs_to_tensor(out["omega_prime"], 6, 2) @ out["J"]
         want = 0.5 * (T + np.swapaxes(T, -1, -2))
-        got = su3._metric_from(self.omega, J)
+        got = out["g"]
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_tangent_matches_richardson_differences(self):
@@ -339,9 +338,9 @@ class TestRecoveryKernels:
               + 1j * (IM0.coeffs + 0.05 * rng.standard_normal((24, 20))))
         dOm = (rng.standard_normal((24, 6, 20))
                + 1j * rng.standard_normal((24, 6, 20)))
-        rec = su3._recover_batch(OM0.coeffs, Om)
+        rec = su3._recover_batch(OM0.coeffs, Om, dOm)
         assert np.all(rec["positive"])
-        got = su3._recover_tangent(OM0.coeffs, Om, dOm, rec)
+        got = {"omega_prime": rec["d_omega_prime"], "g": rec["d_g"]}
 
         def central(h):
             out = {"omega_prime": [], "g": []}
@@ -359,9 +358,25 @@ class TestRecoveryKernels:
             assert np.max(np.abs(got[key] - want)) \
                 <= 1e-8 * np.max(np.abs(want)), key
 
+    @pytest.mark.parametrize("seed", [39, 40])
+    def test_directions_leave_the_values_bytewise(self, seed):
+        # the tangent reads the value pass and writes none of its arrays
+        rng = np.random.default_rng(seed)
+        Om = (RE0.coeffs + 0.05 * rng.standard_normal((24, 20))
+              + 1j * (IM0.coeffs + 0.05 * rng.standard_normal((24, 20))))
+        dOm = rng.standard_normal((24, 6, 20)) + 0j
+        plain = su3._recover_batch(OM0.coeffs, Om)
+        carried = su3._recover_batch(OM0.coeffs, Om, dOm)
+        assert np.all(plain["stable"] & plain["positive"])
+        # without directions the dict holds no tangent keys
+        assert not {"d_omega_prime", "d_g"} & plain.keys()
+        assert carried.keys() == plain.keys() | {"d_omega_prime", "d_g"}
+        for key in plain:
+            assert plain[key].tobytes() == carried[key].tobytes(), key
+
 
 class TestTangentTables:
-    """The constant tables that _recover_tangent composes, against the
+    """The constant tables that _recover_batch's tangent composes, against the
     iota and wedge kernels of the value pass they are built from, on
     seeded random stable theta."""
 
