@@ -13,8 +13,7 @@ gradients are exact and need neither; its Hessian is one
 central_differences of the exact gradient. Fields here are plain
 callables from sample points of shape (..., dim) to KForm, MetricTensor,
 or ndarray batches over the same leading axes; they must accept any
-leading batch axes, since central_differences stacks its shifts on a
-new one.
+leading batch axes, since both stencils stack their shifts on a new one.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ __all__ = [
 
 _SLOT_LETTERS = "abcdefgh"
 # The package's one point budget per field evaluation: region_norms
-# evaluates its nodes, and central_differences its stacked shifts, in
+# evaluates its nodes, and both stencils their stacked shifts, in
 # chunks of at most this many points, bounding the memory of each call.
 # At 128 points the neck scan's (points, 6, ...) gradient temporaries stay
 # in cache.
@@ -114,25 +113,32 @@ def second_differences(f, x: np.ndarray, h=None) -> np.ndarray:
     """Second partials d_i d_j f at x: central_differences applied twice at
     the one step s = local_step(x, h), with f run once per distinct point.
 
-    f maps points (..., dim) to an array over the same batch axes; i and j
-    come right after them. The diagonal samples x +- 2 s e_i, the rest the
-    corners x +- s e_i +- s e_j, each quotient over 4 s^2.
+    f gets the stencil's shifts stacked and chunked as central_differences
+    sends its own; i and j come right after the batch axes. The diagonal
+    samples x +- 2 s e_i, the rest the corners x +- s e_i +- s e_j, each
+    quotient over 4 s^2.
     """
     x = np.asarray(x, float)
     dim, nbatch = x.shape[-1], x.ndim - 1
     step = local_step(x, h)
-    s, e = step[..., None], np.eye(dim)
-    center = np.asarray(f(x))
-    out = np.empty((dim, dim) + center.shape, np.result_type(center, step))
-    for i in range(dim):
-        out[i, i] = (f(x + 2.0 * s * e[i]) - 2.0 * center
-                     + f(x - 2.0 * s * e[i]))
-        for j in range(i + 1, dim):
-            out[i, j] = out[j, i] = (f(x + s * (e[i] + e[j]))
-                                     - f(x + s * (e[i] - e[j]))
-                                     - f(x - s * (e[i] - e[j]))
-                                     + f(x - s * (e[i] + e[j])))
-    denom = 4.0 * step.reshape(step.shape + (1,) * (center.ndim - nbatch)) ** 2
+    # in units of the step: the centre, +-2 e_i for each i, then e_i + e_j,
+    # e_i - e_j, -(e_i - e_j) and -(e_i + e_j) for each pair i < j
+    e, upper = np.eye(dim), np.triu_indices(dim, 1)
+    P, M = e[upper[0]] + e[upper[1]], e[upper[0]] - e[upper[1]]
+    diag = np.stack([2.0 * e, -2.0 * e], 1).reshape(-1, dim)
+    offsets = np.concatenate([np.zeros((1, dim)), diag,
+                              np.stack([P, M, -M, -P], 1).reshape(-1, dim)])
+    shifts = x + offsets.reshape((-1,) + (1,) * nbatch + (dim,)) * step[
+        ..., None]
+    per_call = max(1, _BLOCK // max(1, step.size))
+    vals = np.concatenate([np.asarray(f(shifts[lo:lo + per_call]))
+                           for lo in range(0, len(shifts), per_call)])
+    c = vals[2 * dim + 1:]
+    out = np.empty((dim, dim) + vals.shape[1:], np.result_type(vals, step))
+    out[range(dim), range(dim)] = ((vals[1:2 * dim + 1:2] - 2.0 * vals[0])
+                                   + vals[2:2 * dim + 1:2])
+    out[upper] = out[upper[::-1]] = ((c[0::4] - c[1::4]) - c[2::4]) + c[3::4]
+    denom = 4.0 * step.reshape(step.shape + (1,) * (vals[0].ndim - nbatch)) ** 2
     return np.moveaxis(out / denom, (0, 1), (nbatch, nbatch + 1))
 
 
@@ -297,9 +303,9 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
         wr = 0.5 * (b - a) * wt
         x = (r[:, None, None] * pts[None, :, :]).reshape(-1, pts.shape[-1])
         meas = ((wr * r ** 5)[:, None] * wts[None, :]).reshape(-1)
-        sums = {}
+        # each field's squared pointwise norms over the whole pass
+        sq = {}
         for lo in range(0, x.shape[0], _BLOCK):
-            w = meas[lo:lo + _BLOCK]
             try:
                 block = fields(x[lo:lo + _BLOCK])
             except _SampleError as err:
@@ -311,13 +317,14 @@ def region_norms(fields, cone, r_bounds: tuple, n_radial: int = 8,
                     f"the {n_r}-radial-node pass", sample_index=node) from err
             for name, val in block.items():
                 arr = val.coeffs if isinstance(val, KForm) else np.asarray(val)
-                vals = np.linalg.norm(arr.reshape(len(w), -1), axis=-1)
-                s2, s12, c0 = sums.get(name, (0.0, 0.0, 0.0))
-                sums[name] = (s2 + float(np.sum(w * vals ** 2)),
-                              s12 + float(np.sum(w * vals ** 12)),
-                              max(c0, float(np.max(vals))))
-        return {name: (s2 ** 0.5, s12 ** (1.0 / 12.0), c0)
-                for name, (s2, s12, c0) in sums.items()}
+                arr = arr.reshape(arr.shape[0], -1)
+                if np.iscomplexobj(arr):  # |z|^2 = (Re z)^2 + (Im z)^2
+                    arr = np.ascontiguousarray(arr).view(np.float64)
+                dest = sq.setdefault(name, np.empty(x.shape[0]))
+                np.einsum("ij,ij->i", arr, arr, out=dest[lo:lo + len(arr)])
+        return {name: ((meas @ v) ** 0.5, (meas @ v ** 6) ** (1.0 / 12.0),
+                       np.max(v) ** 0.5)
+                for name, v in sq.items()}
 
     coarse, fine = norms(n_radial), norms(2 * n_radial)
     volume = float(np.sum(wts)) * (b ** 6 - a ** 6) / 6.0

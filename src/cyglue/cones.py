@@ -473,19 +473,19 @@ class ACGeometry:
 
     def correction_terms(self, x: np.ndarray) -> tuple:
         """Coefficients of (correction_dB, dr ^ correction_B) at x and the
-        x-partials d_k of their real parts at [..., k, :], from one |x|,
-        one square root for the profile c and its first two derivatives,
-        and one dr ^ iota_dr Omega. With P = x ^ iota_x Omega and
-        S_k = d_k Re P / r,
+        x-partials d_k of their real parts in factored form, from one
+        |x|, one square root for the profile c and its first two
+        derivatives, and one dr ^ iota_dr Omega. With P = x ^ iota_x
+        Omega and S_k = d_k Re P / r,
 
             dB = c Omega + c' P / (3 r),  dr ^ B = c P / (3 r),
             d_k Re dB = xhat_k (c' Re Omega + (c'' r - c') Re P / (3 r^2))
                         + c' S_k / 3,
             d_k Re (dr ^ B) = xhat_k (c' r - c) Re P / (3 r^2) + c S_k / 3.
 
-        The values are complex and the partials real (..., 6, 20): every
-        scalar factor is real, so the real parts come from the real
-        halves of the tables.
+        Returned as (dB, dr ^ B, along, coef, S), the values complex and
+        the rest real: d_k Re of value i is xhat_k along[..., i, :] +
+        coef[..., i] S_k, with S (..., 6, 20) built once.
         """
         r, xhat = _polar(x)
         a6 = self.resolution_scale ** 6
@@ -496,15 +496,14 @@ class ACGeometry:
         radial = _radial_wedge(xhat, _RADIAL_OMEGA3)
         re_radial = radial.real
         S = (xhat @ _SYM_RADIAL_OMEGA3).reshape(xhat.shape[:-1] + (6, 20))
-        along = xhat[..., :, None]
+        along = np.stack([
+            cp[..., None] * FLAT_OMEGA3.coeffs.real
+            + ((cpp * r - cp) / 3.0)[..., None] * re_radial,
+            ((cp * r - c) / 3.0)[..., None] * re_radial], axis=-2)
         return (c[..., None] * FLAT_OMEGA3.coeffs
                 + (cp * r / 3.0)[..., None] * radial,
                 (c * r / 3.0)[..., None] * radial,
-                along * (cp[..., None] * FLAT_OMEGA3.coeffs.real
-                         + ((cpp * r - cp) / 3.0)[..., None] * re_radial)[..., None, :]
-                + (cp / 3.0)[..., None, None] * S,
-                along * (((cp * r - c) / 3.0)[..., None] * re_radial)[..., None, :]
-                + (c / 3.0)[..., None, None] * S)
+                along, np.stack([cp, c], axis=-1) / 3.0, S)
 
     def _profile_c(self, r):
         a6 = self.resolution_scale ** 6
@@ -609,22 +608,22 @@ class SyntheticPerturbation:
 
     def correction_terms(self, x: np.ndarray, r=None) -> tuple:
         """Coefficients of (dA, dr ^ primitive_A) at x and the x-partials
-        d_k of their real parts at [..., k, :], from one |x| (or the
+        d_k of their real parts in factored form, from one |x| (or the
         given r) and one xhat ^ b: dA = amplitude (nu+3) r^(nu-1) x ^ b
         and dr ^ primitive_A = amplitude r^nu x ^ b, differentiated with
-        the rows e_k ^ Re b of the real half of the same wedge table. The
-        values are complex and the partials real (..., 6, 20).
+        the rows E_k = e_k ^ Re b of the real half of the same wedge
+        table; returned as ACGeometry.correction_terms returns its own,
+        with the constant (6, 20) table E in place of S.
         """
         r, xhat = _polar(x, r)
         xhat_b = _table_product(xhat, self._wedge_b)
-        along = xhat[..., :, None] * xhat_b.real[..., None, :]
-        e_b = self._wedge_b[:, 0::2]
         a, nu = self.amplitude, self.nu
+        coef = np.stack([a * (nu + 3.0) * r ** (nu - 1.0), a * r ** nu],
+                        axis=-1)
+        along = (coef * [nu - 1.0, nu])[..., None] * xhat_b.real[..., None, :]
         return ((a * (nu + 3.0) * r ** nu)[..., None] * xhat_b,
                 (a * r ** (nu + 1.0))[..., None] * xhat_b,
-                (a * (nu + 3.0) * r ** (nu - 1.0))[..., None, None]
-                * ((nu - 1.0) * along + e_b),
-                (a * r ** nu)[..., None, None] * (nu * along + e_b))
+                along, coef, self._wedge_b[:, 0::2])
 
 
 @dataclass(frozen=True)

@@ -202,31 +202,37 @@ class GluedStructure:
 
         Every scalar factor is real, so d_k Re Omega_t is this sum over
         the real parts. The recovery reads only Re Omega_t's partials.
+        Each side's correction_terms factors its partials as xhat_k v +
+        c T_k (T = S for B, the constant E for A), so the sum collects
+        into xhat_k v + beta S_k + gamma E_k, one (..., 6, 20) array.
         """
         x, r = self._radii(x)
         t = self.config.t
         ta = t ** (-self.config.alpha)
         F, Fp, Fpp = _cutoff_jet(r * ta)
         # |x/t| is taken afresh, as Omega_p takes it, not rounded from r / t
-        dB, dr_B, ddB, ddr_B = self.ac.correction_terms(x / t)
-        if self.perturbation is None:
-            dA = dr_A = ddA = ddr_A = 0.0
-        else:
-            dA, dr_A, ddA, ddr_A = self.perturbation.correction_terms(x, r)
+        dB, dr_B, along, coef, S = self.ac.correction_terms(x / t)
+        # d_k dB and d_k (dr ^ B) at x/t weigh (1 - F) / t and -F' t^-alpha
+        # in d_k Omega_t, d_k dA and d_k (dr ^ A) F and F' t^-alpha
+        w = np.stack([(1.0 - F) / t, -Fp * ta], axis=-1)
+        v = np.einsum("...i,...ij->...j", w, along)
+        partials = np.sum(w * coef, -1)[..., None, None] * S
+        dA = dr_A = 0.0
+        if self.perturbation is not None:
+            dA, dr_A, along, coef, E = self.perturbation.correction_terms(x, r)
+            w = np.stack([F, Fp * ta], axis=-1)
+            v += np.einsum("...i,...ij->...j", w, along)
+            partials += np.sum(w * coef, -1)[..., None, None] * E
         out = (FLAT_OMEGA3.coeffs
                + F[..., None] * dA
                + (1.0 - F)[..., None] * dB)
-        partials = (F[..., None, None] * ddA
-                    + ((1.0 - F) / t)[..., None, None] * ddB)
         if np.any(Fp != 0.0):
             # dr ^ (A - B_t); dr is the same at x and x/t
             seam = dr_A - t * dr_B
             out = out + (Fp * ta)[..., None] * seam
-            radial = ((Fp * ta)[..., None] * (np.real(dA) - dB.real)
-                      + (Fpp * ta ** 2)[..., None] * seam.real)
-            partials = (partials
-                        + (x / r[..., None])[..., :, None] * radial[..., None, :]
-                        + (Fp * ta)[..., None, None] * (ddr_A - ddr_B))
+            v += ((Fp * ta)[..., None] * (np.real(dA) - dB.real)
+                  + (Fpp * ta ** 2)[..., None] * seam.real)
+        partials += (x / r[..., None])[..., :, None] * v[..., None, :]
         return out, partials
 
     def Omega_q(self, x) -> KForm:

@@ -18,13 +18,16 @@ of omega is returned beside them by _recover_batch.
 The recovery is a polynomial in theta1 followed by one square root, one
 quotient and one cube root (N. Hitchin, The geometry of three-forms in six
 dimensions, J. Diff. Geom. 55, 2000), so its derivative along a variation
-of Omega is exact in forward mode. Given directions, _recover_batch
-carries that tangent in the same pass: it composes the polynomial maps
-into constant tables built once at import (_K_POLAR, the polarization of
-the quadratic form K(theta1), and _T2_THETA and _T2_J, the bilinear map
-(J, theta1) -> theta2_prime), so each derivative is one product per
-sample, and reads every other factor off the value pass, which keeps its
-iota and wedge tables.
+of Omega is exact in forward mode. Hitchin's identities fix everything
+but K: for a stable theta1, K^2 = lam 1, so J = -K / sqrt(-lam) squares to
+-1, and theta1 ^ theta2_prime = 2 sqrt(-lam) vol exactly. The sign of J is
+the same on every stable theta1: the sign of theta1 ^ theta2_prime is
+invariant under GL(6), and the stable forms make up one orbit. Given
+directions, _recover_batch carries the tangent in the same pass: dK is
+one product per sample with theta1 @ _K_POLAR, a constant table built
+once at import from the polarization of the quadratic form K(theta1),
+the pairing moves by tr(J dK) / 3, and every other factor is read off the
+value pass.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ class Prop32Record:
 
 _W22 = mi.wedge_tensor(6, 2, 2)
 _W24 = mi.wedge_tensor(6, 2, 4)[..., 0]
-_W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
 # signed table taking a 2-form's 15 coefficients to its flat (6, 6) tensor;
 # its transpose takes a flat (6, 6) array X to the coefficients of X - X^T
 _TWO_FORM = mi.coeffs_to_tensor(np.eye(15), 6, 2).reshape(15, 36)
@@ -142,38 +144,27 @@ def _theta2(J: np.ndarray, t1: np.ndarray) -> np.ndarray:
     P = np.swapaxes(J, -1, -2) @ t1
     lead = P.shape[:-2]
     # P is antisymmetric in b, c, so the alternation is the cyclic mean
-    # (P[a, bc] + P[c, ab] - P[b, ac]) / 3; indexing, unlike np.take, lays
-    # the result out batch axis fastest, and the summation order of
-    # _acs_batch's pairing follows that layout
+    # (P[a, bc] + P[c, ab] - P[b, ac]) / 3
     cyc = P.reshape(lead + (90,))[..., _companion_positions()].reshape(
         lead + (3, 20))
     return -((cyc[..., 0, :] + cyc[..., 1, :]) - cyc[..., 2, :]) / 3.0
 
 
-def _tangent_tables() -> tuple:
-    """The polynomial maps of the value pass as constant tables, each
-    assembled by one batched call of its kernel on basis elements:
-
-        _K_POLAR (20, 20 * 36): the polarization Q + Q^T of the quadratic
-            form K(theta) = sum_ab theta_a theta_b Q[a, b], so that
-            K(theta) = theta . (theta @ _K_POLAR) / 2;
-        _T2_THETA (20, 36 * 20) and _T2_J (36, 20 * 20): the bilinear map
-            (J, eta) -> _theta2(J, _iota_table(eta)) contracted first with
-            eta and first with the flat J.
-    """
+def _polarization_table() -> np.ndarray:
+    """_K_POLAR (20, 20 * 36): the polarization Q + Q^T of the quadratic
+    form K(theta)^T = sum_ab theta_a theta_b Q[a, b], so that K(theta)^T =
+    theta . (theta @ _K_POLAR) / 2, assembled by one batched call of
+    _k_endomorphism on basis elements. It gives K transposed because the
+    tangent needs dJ^T."""
     E20 = np.eye(20)
-    iota = _iota_table(E20)
-    Q = _k_endomorphism(E20, np.broadcast_to(iota, (20, 20, 6, 15)))
-    L = _theta2(np.eye(36).reshape(36, 1, 6, 6), iota[None])
-    tables = ((Q + Q.transpose(1, 0, 2, 3)).reshape(20, 720),
-              np.ascontiguousarray(L.transpose(1, 0, 2)).reshape(20, 720),
-              L.reshape(36, 400))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    Q = _k_endomorphism(E20, np.broadcast_to(_iota_table(E20),
+                                             (20, 20, 6, 15)))
+    table = np.swapaxes(Q + Q.transpose(1, 0, 2, 3), -1, -2).reshape(20, 720)
+    table.setflags(write=False)
+    return table
 
 
-_K_POLAR, _T2_THETA, _T2_J = _tangent_tables()
+_K_POLAR = _polarization_table()
 
 
 def _acs_batch(coeffs: np.ndarray) -> dict:
@@ -182,12 +173,11 @@ def _acs_batch(coeffs: np.ndarray) -> dict:
     garbage where unstable.
 
     The table of iota_{e_a} theta builds both K and theta2_prime;
-    J = flip K / sqrt(-lam), with flip = +-1 chosen so that
-    pairing, the coefficient of theta ^ theta2_prime on the volume form,
-    is nonnegative. Returned as a dict of J, lam, stable, theta2_prime,
-    pairing and flip, with sqrt_neg_lam, the sqrt(-lam) that divides K
-    (1 where unstable), and theta_w33 = coeffs @ _W33, the coefficients
-    of eta -> theta ^ eta on the volume form.
+    J = -K / sqrt(-lam), and pairing, the coefficient of theta ^
+    theta2_prime on the volume form, is 2 sqrt(-lam) (module docstring).
+    Returned as a dict of J, lam, stable, theta2_prime and pairing, with
+    sqrt_neg_lam, the sqrt(-lam) that divides K (1 where unstable, so
+    that pairing is 2 there).
     """
     t1 = _iota_table(coeffs)
     K = _k_endomorphism(coeffs, t1)
@@ -195,16 +185,10 @@ def _acs_batch(coeffs: np.ndarray) -> dict:
     scale = np.einsum("...i,...i->...", coeffs, coeffs)  # |theta|^2, flat frame
     stable = lam < -_STABLE_RTOL * (scale ** 2 + 1e-300)
     denom = np.sqrt(np.where(stable, -lam, 1.0))
-    J = K / denom[..., None, None]
-    # orientation: require theta ^ theta2_prime positively oriented
-    t2 = _theta2(J, t1)
-    theta_w33 = coeffs @ _W33
-    top = np.einsum("...j,...j->...", theta_w33, t2)
-    flip = np.where(top < 0, -1.0, 1.0)
-    # theta2_prime and the pairing are linear in J, so flipping is exact
-    return {"J": J * flip[..., None, None], "lam": lam, "stable": stable,
-            "theta2_prime": t2 * flip[..., None], "pairing": top * flip,
-            "flip": flip, "sqrt_neg_lam": denom, "theta_w33": theta_w33}
+    J = -K / denom[..., None, None]
+    return {"J": J, "lam": lam, "stable": stable,
+            "theta2_prime": _theta2(J, t1), "pairing": 2.0 * denom,
+            "sqrt_neg_lam": denom}
 
 
 def _wedge_square(om: np.ndarray) -> np.ndarray:
@@ -226,29 +210,32 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray,
     Returns a dict of arrays: the recovered fields and the values of
     _acs_batch. ``stable`` and ``positive`` are masks rather than raised
     errors so grid evaluations can report the offending sample
-    (_raise_failures turns them into errors). ``positive`` is the
-    eigenvalue rule w_min > _POS_RTOL max|w| on the samples with f > 0.
-    A Gershgorin certificate decides it without an eigensolve wherever it
-    can: the rows of g bound w_min from below and max|w| from above, and
-    a sample whose bounds clear a margin far above _POS_RTOL always
-    passes the rule (argument in forms.gershgorin_certified).
+    (_raise_failures turns them into errors); f, like J, is garbage on
+    the samples that are not stable, and the masks decide. ``positive``
+    is the eigenvalue rule w_min > _POS_RTOL max|w| on the samples with
+    f > 0. A Gershgorin certificate decides it without an eigensolve
+    wherever it can: the rows of g bound w_min from below and max|w| from
+    above, and a sample whose bounds clear a margin far above _POS_RTOL
+    always passes the rule (argument in forms.gershgorin_certified).
+
+    With J^2 = -1 the metric sym(T' J) of omega_prime's tensor T' is
+    scl sym(W J) for the tensor W of omega_c and scl = f^(-1/3): the
+    tensor of omega_11 is (W + J^T W J) / 2, and W J is J^T W J J
+    transposed.
 
     With dOmega_c, Omega_c is one batch axis of samples, (n, 20), and
     dOmega_c carries directions on one axis after it, (n, m, 20); the
     dict then also holds the derivatives of omega_prime and g along them
     with omega_c held fixed, d_omega_prime (n, m, 15) and d_g
     (n, m, 6, 6). Only the real parts of Omega_c and dOmega_c enter.
-    Forward mode through this pass, with the polynomial maps composed
-    into constant tables: K is quadratic in theta, K = theta .
-    (theta @ _K_POLAR) / 2, so dK = dtheta . (theta @ _K_POLAR), one
-    product with a per-sample (20, 36) matrix; theta2_prime is bilinear
-    in J and theta, so its derivative is one product with theta @
-    _T2_THETA and one with J @ _T2_J; omega_11 is quadratic in J and
-    omega_11^3 cubic in omega_11. J = flip K / sqrt(-lam), f =
-    omega_11^3 / (3/2 pairing) and omega_prime = omega_11 f^(-1/3) follow
-    by the chain rule. The orientation flip and the masks are locally
-    constant. The derivatives are garbage where the sample is not stable
-    and positive.
+    Forward mode through this pass: K is quadratic in theta, K^T = theta
+    . (theta @ _K_POLAR) / 2, so dK^T = dtheta . (theta @ _K_POLAR), one
+    product with a per-sample (20, 36) matrix, and d lam = tr(K dK) / 3;
+    omega_11 is quadratic in J and omega_11^3 cubic in omega_11.
+    J = -K / sqrt(-lam), pairing = 2 sqrt(-lam), f = omega_11^3 /
+    (3/2 pairing), omega_prime = omega_11 scl and g = scl sym(W J)
+    follow by the chain rule; the masks are locally constant. The
+    derivatives are garbage where the sample is not stable and positive.
     """
     theta = np.real(Omega_c)
     acs = _acs_batch(theta)
@@ -256,25 +243,23 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray,
 
     # omega(J., J.) has the tensor J^T W J of omega's tensor W
     W = mi.coeffs_to_tensor(omega_c, 6, 2)
+    WJ = W @ J
     om11 = 0.5 * (omega_c + mi.tensor_to_coeffs(
-        np.swapaxes(J, -1, -2) @ W @ J, 6, 2))
+        np.swapaxes(J, -1, -2) @ WJ, 6, 2))
 
     om11_sq = _wedge_square(om11)
     num = np.einsum("...k,...k->...", om11 @ _W24, om11_sq)
     # omega'^3 = (3/2) theta1 ^ theta2_prime fixes the scale f
     den = 1.5 * acs["pairing"]
-    safe_den = np.where(den == 0.0, 1.0, den)
-    f = np.where(den == 0.0, np.nan, num / safe_den)
+    f = num / den
 
     positive_f = np.where(acs["stable"], f > 0, False)
     scl = np.where(positive_f, np.abs(f), 1.0) ** (-1.0 / 3.0)
-    omega_p = om11 * scl[..., None]
-    # g = sym(T J) for the antisymmetric tensor T of omega_prime
-    T = (omega_p @ _TWO_FORM).reshape(omega_p.shape[:-1] + (6, 6))
-    g = T @ J
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    sym_WJ = 0.5 * (WJ + np.swapaxes(WJ, -1, -2))
+    g = scl[..., None, None] * sym_WJ
     out = {
-        **acs, "f": f, "omega_11": om11, "omega_prime": omega_p,
+        **acs, "f": f, "omega_11": om11,
+        "omega_prime": om11 * scl[..., None],
         "g": g, "positive": _positive_metric(g, positive_f),
     }
     if dOmega_c is None:
@@ -282,34 +267,34 @@ def _recover_batch(omega_c: np.ndarray, Omega_c: np.ndarray,
 
     dtheta = np.real(dOmega_c)
     n, m = dtheta.shape[:2]
-    dK = (dtheta @ (theta @ _K_POLAR).reshape(n, 20, 36)).reshape(n, m, 6, 6)
-    # J = flip K / sqrt(-lam) and d lam = tr(K dK) / 3 give
-    # dJ = flip (dK + J tr(J dK) / 6) / sqrt(-lam)
-    tr = np.einsum("nij,nmji->nm", J, dK)
-    dJ = (dK + J[:, None] * (tr / 6.0)[..., None, None]) * (
-        acs["flip"] / acs["sqrt_neg_lam"])[:, None, None, None]
-
-    dt2p = (dJ.reshape(n, m, 36) @ (theta @ _T2_THETA).reshape(n, 36, 20)
-            + dtheta @ (J.reshape(n, 36) @ _T2_J).reshape(n, 20, 20))
-    dpairing = (np.einsum("nmj,nj->nm", dtheta @ _W33, acs["theta2_prime"])
-                + np.einsum("nj,nmj->nm", acs["theta_w33"], dt2p))
+    # J = -K / s with s = sqrt(-lam), and d lam = tr(K dK) / 3 =
+    # -s tr(J dK) / 3, give ds = tr(J dK) / 6, d pairing = tr(J dK) / 3
+    # and dJ = -(dK + J tr(J dK) / 6) / s. K is quadratic in theta, so
+    # -dK^T / s comes from theta scaled by -1 / s
+    s = acs["sqrt_neg_lam"]
+    dJt = (dtheta @ ((theta / -s[:, None]) @ _K_POLAR).reshape(
+        n, 20, 36)).reshape(n, m, 6, 6)
+    tr_s = np.einsum("nij,nmij->nm", J, dJt)
+    dJt += np.swapaxes(J, -1, -2)[:, None] * (tr_s / 6.0)[..., None, None]
+    dJt = dJt.reshape(n, 6 * m, 6)
 
     # d(J^T W J) = X - X^T with X = dJ^T W J: one product with the signed
     # (36, 15) table _TWO_FORM.T
-    dJt = np.swapaxes(dJ, -1, -2).reshape(n, 6 * m, 6)
-    X = (dJt @ (W @ J)).reshape(n, m, 36)
-    dom11 = 0.5 * (X @ _TWO_FORM.T)
+    X = (dJt @ WJ).reshape(n, m, 36)
+    dom11 = X @ (0.5 * _TWO_FORM.T)
     dnum = 3.0 * np.einsum("nmk,nk->nm", dom11 @ _W24, om11_sq)
-    df = (dnum - (1.5 * f)[:, None] * dpairing) / den[:, None]
+    df = (dnum + (0.5 * f * s)[:, None] * tr_s) / den[:, None]
 
     dscl = np.where(positive_f, -scl / (3.0 * np.where(positive_f, f, 1.0)),
                     0.0)[:, None] * df
-    domega_p = dom11 * scl[:, None, None] + om11[:, None] * dscl[..., None]
-    # d sym(T J) = sym(dT J + T dJ) = sym(dT J - dJ^T T), T antisymmetric
-    dT = (domega_p @ _TWO_FORM).reshape(n, 6 * m, 6)
-    G = (dT @ J - dJt @ T).reshape(n, m, 6, 6)
-    out["d_omega_prime"] = domega_p
-    out["d_g"] = 0.5 * (G + np.swapaxes(G, -1, -2))
+    out["d_omega_prime"] = (dom11 * scl[:, None, None]
+                            + om11[:, None] * dscl[..., None])
+    # sym(W dJ) = -sym(dJ^T W), W antisymmetric
+    Y = (dJt @ W).reshape(n, m, 6, 6)
+    d_g = Y + np.swapaxes(Y, -1, -2)
+    d_g *= (-0.5 * scl)[:, None, None, None]
+    d_g += dscl[..., None, None] * sym_WJ[:, None]
+    out["d_g"] = d_g
     return out
 
 

@@ -31,12 +31,16 @@ def richardson_partials(f, x, rel_step=1e-3):
 
 
 def assert_partials_exact(jet, x, rtol=1e-8):
-    """jet returns n complex values and then the n closed-form partials of
-    their real parts; each partial is real and matches the real part of
-    Richardson differences of its value to rtol of the largest partial."""
-    out = jet(x)
-    n = len(out) // 2
-    for i, got in enumerate(out[n:]):
+    """jet returns two complex values and their partials' factors
+    (along, coef, table), the partials of value i being xhat_k
+    along[..., i, :] + coef[..., i] table_k; each assembled partial is
+    real and matches the real part of Richardson differences of its value
+    to rtol of the largest partial."""
+    along, coef, table = jet(x)[2:]
+    xhat = x / np.linalg.norm(x, axis=-1)[..., None]
+    for i in range(2):
+        got = (xhat[..., :, None] * along[..., None, i, :]
+               + coef[..., i, None, None] * table)
         want = np.real(richardson_partials(lambda y: jet(y)[i], x))
         assert got.dtype == np.float64, i
         assert got.shape == x.shape[:-1] + (6,) + want.shape[2:]

@@ -33,6 +33,15 @@ def oracle_k_endo(theta: dict) -> np.ndarray:
     return K
 
 
+def both_orientations(seed: int, n: int) -> np.ndarray:
+    """n seeded maps eye + 0.3 noise, then the same maps composed with
+    the reflection diag(-1, 1, 1, 1, 1, 1): (2n, 6, 6), both signs of
+    the determinant."""
+    rng = np.random.default_rng(seed)
+    L = np.eye(6) + 0.3 * rng.standard_normal((n, 6, 6))
+    return np.concatenate([L, L @ np.diag([-1.0, 1, 1, 1, 1, 1])])
+
+
 def acs(theta: KForm) -> dict:
     """The recovery's almost complex structure of theta: J, lam,
     theta2_prime and the rest of su3._acs_batch."""
@@ -130,12 +139,42 @@ class TestCompanionForm:
         assert np.allclose(lhs, 1j * T, atol=1e-10)
 
     def test_positive_orientation(self):
-        rng = np.random.default_rng(26)
-        L = LinearMap(np.eye(6) + 0.3 * rng.standard_normal((8, 6, 6)))
-        th = pullback(L, RE0)
+        th = pullback(LinearMap(both_orientations(26, 8)), RE0)
         t2 = KForm(6, 3, acs(th)["theta2_prime"])
         tops = wedge(th, t2).coeffs[..., 0]
         assert np.all(tops > 0)
+
+
+class TestHitchinIdentities:
+    """The identities of stable 3-forms that the recovery relies on, on
+    Re Omega_0 pulled back by maps of either orientation."""
+
+    def setup_method(self):
+        self.theta = pullback(LinearMap(both_orientations(29, 16)), RE0)
+        self.K = su3._k_endomorphism(self.theta.coeffs,
+                                     su3._iota_table(self.theta.coeffs))
+        self.acs = acs(self.theta)
+        assert np.all(self.acs["stable"])
+
+    def test_k_squares_to_lam(self):
+        KK = self.K @ self.K
+        want = self.acs["lam"][:, None, None] * np.eye(6)
+        err = np.max(np.abs(KK - want), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.sum(self.K ** 2, axis=(1, 2)))
+
+    def test_unflipped_orientation_is_negative(self):
+        # J = +K / sqrt(-lam) gives theta ^ theta2' a negative coefficient
+        # on every stable theta, so the recovery's sign of J is fixed
+        J = self.K / self.acs["sqrt_neg_lam"][:, None, None]
+        t2 = KForm(6, 3, su3._theta2(J, su3._iota_table(self.theta.coeffs)))
+        assert np.all(wedge(self.theta, t2).coeffs[..., 0] < 0)
+
+    def test_pairing_is_twice_sqrt_neg_lam(self):
+        t2 = KForm(6, 3, self.acs["theta2_prime"])
+        top = wedge(self.theta, t2).coeffs[..., 0]
+        want = 2.0 * np.sqrt(-self.acs["lam"])
+        assert np.all(np.abs(top - want) <= 1e-12 * want)
+        assert np.array_equal(self.acs["pairing"], want)
 
 
 class TestRecovery:
@@ -376,8 +415,8 @@ class TestRecoveryKernels:
 
 
 class TestTangentTables:
-    """The constant tables that _recover_batch's tangent composes, against the
-    iota and wedge kernels of the value pass they are built from, on
+    """The constant table that _recover_batch's tangent composes, against
+    the iota and wedge kernels of the value pass it is built from, on
     seeded random stable theta."""
 
     def setup_method(self):
@@ -393,38 +432,23 @@ class TestTangentTables:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_k_is_half_its_polarization(self):
+        # the table gives K transposed
         M = (self.theta @ su3._K_POLAR).reshape(32, 20, 36)
-        self.assert_close(
-            0.5 * (self.theta[:, None] @ M).reshape(32, 6, 6),
-            su3._k_endomorphism(self.theta, su3._iota_table(self.theta)))
-
-    def test_companion_from_either_contraction(self):
-        J = self.acs["J"].reshape(32, 1, 36)
-        want = su3._theta2(self.acs["J"], su3._iota_table(self.theta))
-        by_J = (J @ su3._T2_J).reshape(32, 20, 20)
-        by_theta = (self.theta @ su3._T2_THETA).reshape(32, 36, 20)
-        self.assert_close((self.theta[:, None] @ by_J)[:, 0], want)
-        self.assert_close((J @ by_theta)[:, 0], want)
+        K = su3._k_endomorphism(self.theta, su3._iota_table(self.theta))
+        self.assert_close(0.5 * (self.theta[:, None] @ M).reshape(32, 6, 6),
+                          np.swapaxes(K, -1, -2))
 
     def test_composed_derivatives_match_the_kernel_formulas(self):
-        # before the tables: dK = 2 K(iota dtheta ^ theta) + p Id for
-        # theta ^ dtheta = p vol, and dtheta2' = theta2'(dJ, theta) +
-        # theta2'(J, dtheta), each through the iota and wedge tables
-        theta, dtheta, J = self.theta, self.dtheta, self.acs["J"]
-        dJ = np.random.default_rng(38).standard_normal((32, 6, 6, 6))
-        p = np.einsum("nj,nmj->nm", theta @ su3._W33, dtheta)
+        # before the table: dK = 2 K(iota dtheta ^ theta) + p Id for
+        # theta ^ dtheta = p vol, through the iota and wedge tables
+        theta, dtheta = self.theta, self.dtheta
+        W33 = mi.wedge_tensor(6, 3, 3)[..., 0]
+        p = np.einsum("nj,nmj->nm", theta @ W33, dtheta)
         want_dK = 2.0 * su3._k_endomorphism(theta, su3._iota_table(dtheta))
         want_dK[..., range(6), range(6)] += p[..., None]
-        got_dK = dtheta @ (theta @ su3._K_POLAR).reshape(32, 20, 36)
-        self.assert_close(got_dK.reshape(32, 6, 6, 6), want_dK)
-
-        want_dt2 = (su3._theta2(dJ, su3._iota_table(theta)[:, None])
-                    + su3._theta2(J[:, None], su3._iota_table(dtheta)))
-        got_dt2 = (dJ.reshape(32, 6, 36)
-                   @ (theta @ su3._T2_THETA).reshape(32, 36, 20)
-                   + dtheta @ (J.reshape(32, 36) @ su3._T2_J).reshape(
-                       32, 20, 20))
-        self.assert_close(got_dt2, want_dt2)
+        got_dKt = dtheta @ (theta @ su3._K_POLAR).reshape(32, 20, 36)
+        self.assert_close(got_dKt.reshape(32, 6, 6, 6),
+                          np.swapaxes(want_dK, -1, -2))
 
 
 class TestPositivityCertificate:
